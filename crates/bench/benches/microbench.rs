@@ -138,33 +138,10 @@ fn bench_controller_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_system_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("system");
-    group.sample_size(10);
-    for workload in ["stream", "gups"] {
-        group.bench_function(format!("simulate_20k_instructions_{workload}"), |b| {
-            let mut spec = WorkloadSpec::try_by_name(workload).unwrap();
-            spec.working_set_bytes = 16 << 20;
-            b.iter(|| {
-                let mut system = Experiment::with_spec(spec.clone(), WritePolicy::be_mellow_sc())
-                    .configure(|c| {
-                        c.l1.size_bytes = 4 << 10;
-                        c.l2.size_bytes = 16 << 10;
-                        c.llc.size_bytes = 64 << 10;
-                    })
-                    .build();
-                system.run_instructions(20_000);
-                black_box(system.core().ipc())
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_system_loops(c: &mut Criterion) {
     // The same retirement target under both run_instructions loops:
-    // `_cycle` is the one-cycle-at-a-time oracle, the unsuffixed bench
-    // the event-driven fast-forward default. The gap is widest on gups,
+    // `_cycle` is the one-cycle-at-a-time reference, the unsuffixed
+    // bench the event-kernel default. The gap is widest on gups,
     // whose random misses keep the core head-blocked on memory for most
     // of its cycles.
     let mut group = c.benchmark_group("system_loop");
@@ -219,7 +196,6 @@ criterion_group!(
     bench_timer_queue,
     bench_endurance,
     bench_controller_tick,
-    bench_system_throughput,
     bench_system_loops,
     bench_sweep_overhead,
 );

@@ -13,16 +13,15 @@
 //! `--full` uses the publication scale (slower); `--tiny` a CI smoke
 //! scale. `perf` is not a paper artifact: it times the controller's
 //! indexed issue path against the legacy scan layout and the system's
-//! event-queue kernel against its two retained oracles (the
-//! one-cycle-at-a-time loop and the polling fast-forward loop) on
-//! full-system runs (always uncached, since it measures wall clock
+//! event-queue kernel against the reference one-cycle-at-a-time loop
+//! on full-system runs (always uncached, since it measures wall clock
 //! rather than simulated results), then appends the measurements to
 //! `BENCH_controller.json` / `BENCH_system.json` at the repo root.
 //! With `--guard` it additionally exits nonzero when the geomean
 //! speedup regresses below 0.8x the last committed same-scale entry
 //! (the CI perf-smoke check). `sanitize` requires a build with
-//! `--features sanitize`: it runs every Table IV workload through all
-//! three tick loops under the mellow-san event-protocol sanitizer
+//! `--features sanitize`: it runs every Table IV workload through both
+//! tick loops under the mellow-san event-protocol sanitizer
 //! (always uncached — the point is exercising the protocol, not the
 //! results), so any late wake, stale pop, forbidden dirty site, or
 //! misaligned controller horizon aborts with a cycle-stamped trail.
@@ -214,9 +213,8 @@ fn main() {
 }
 
 /// Times the indexed issue path against the legacy scan layout and the
-/// event-queue kernel against both retained oracles (the
-/// one-cycle-at-a-time loop and the polling fast-forward loop) on a
-/// representative workload spread (streaming, random, write-heavy,
+/// event-queue kernel against the reference one-cycle-at-a-time loop
+/// on a representative workload spread (streaming, random, write-heavy,
 /// multi-stream), reporting per-workload wall clock plus geomean
 /// speedups. Every row must read `identical` — the paths differ only
 /// in wall clock, never in simulated results. Measurements are
@@ -291,28 +289,23 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         scale_label,
     ));
 
-    eprintln!(
-        "timing cycle / fast-forward / event-kernel system loops on {workloads:?} (uncached)..."
-    );
+    eprintln!("timing cycle vs event-kernel system loops on {workloads:?} (uncached)...");
     let rows = compare_system_loops(&workloads, WritePolicy::be_mellow_sc(), scale)
         .expect("perf workloads are Table IV presets");
-    out.push_str(
-        "\n== system tick-loop wall clock (cycle vs fast-forward vs event kernel, be_mellow_sc) ==\n",
-    );
+    out.push_str("\n== system tick-loop wall clock (cycle vs event kernel, be_mellow_sc) ==\n");
     out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>9} {:>11} {:>8}  {}\n",
-        "workload", "instr", "cycle s", "fast s", "event s", "event ips", "speedup", "metrics"
+        "{:<12} {:>10} {:>9} {:>9} {:>11} {:>8}  {}\n",
+        "workload", "instr", "cycle s", "event s", "event ips", "speedup", "metrics"
     ));
     let mut log_sum = 0.0;
     let mut sys_records = Vec::new();
     for r in &rows {
         log_sum += r.speedup().ln();
         out.push_str(&format!(
-            "{:<12} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>11.0} {:>7.2}x  {}\n",
+            "{:<12} {:>10} {:>9.3} {:>9.3} {:>11.0} {:>7.2}x  {}\n",
             r.workload,
             r.instructions,
             r.cycle_secs,
-            r.fast_secs,
             r.event_secs,
             r.event_ips(),
             r.speedup(),
@@ -374,15 +367,14 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         .expect("microbench workloads are Table IV presets");
     out.push_str("\n== run_instructions microbench (20k instructions, 64 KiB LLC) ==\n");
     out.push_str(&format!(
-        "{:<12} {:>12} {:>12} {:>12} {:>11} {:>8}  {}\n",
-        "workload", "cycle ns", "fast ns", "event ns", "event ips", "speedup", "metrics"
+        "{:<12} {:>12} {:>12} {:>11} {:>8}  {}\n",
+        "workload", "cycle ns", "event ns", "event ips", "speedup", "metrics"
     ));
     for r in &rows {
         out.push_str(&format!(
-            "{:<12} {:>12.0} {:>12.0} {:>12.0} {:>11.0} {:>7.2}x  {}\n",
+            "{:<12} {:>12.0} {:>12.0} {:>11.0} {:>7.2}x  {}\n",
             r.workload,
             r.cycle_secs * 1e9,
-            r.fast_secs * 1e9,
             r.event_secs * 1e9,
             r.event_ips(),
             r.speedup(),
@@ -417,7 +409,7 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     (out, guard_ok)
 }
 
-/// Runs every Table IV workload through all three tick loops with the
+/// Runs every Table IV workload through both tick loops with the
 /// mellow-san runtime sanitizer armed, checking the loops still agree
 /// bit for bit. A protocol violation (late wake, stale-generation pop,
 /// forbidden dirty site, misaligned controller horizon) panics inside
@@ -443,25 +435,24 @@ fn sanitize_report(scale: Scale, scale_label: &str) -> (String, bool) {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "== mellow-san: {} workloads x 3 tick loops at {scale_label} scale (be_mellow_sc) ==\n",
+        "== mellow-san: {} workloads x 2 tick loops at {scale_label} scale (be_mellow_sc) ==\n",
         WORKLOADS.len()
     ));
     out.push_str(&format!(
-        "{:<12} {:>9} {:>9} {:>9}  {}\n",
-        "workload", "cycle s", "fast s", "event s", "metrics"
+        "{:<12} {:>9} {:>9}  {}\n",
+        "workload", "cycle s", "event s", "metrics"
     ));
     let mut all_match = true;
     for w in WORKLOADS {
-        eprintln!("sanitizing {w} (cycle / fast-forward / event loops, uncached)...");
+        eprintln!("sanitizing {w} (cycle / event loops, uncached)...");
         let rows = compare_system_loops(&[w], WritePolicy::be_mellow_sc(), scale)
             .expect("Table IV presets are valid workloads");
         for r in &rows {
             all_match &= r.metrics_match;
             out.push_str(&format!(
-                "{:<12} {:>9.3} {:>9.3} {:>9.3}  {}\n",
+                "{:<12} {:>9.3} {:>9.3}  {}\n",
                 r.workload,
                 r.cycle_secs,
-                r.fast_secs,
                 r.event_secs,
                 if r.metrics_match {
                     "identical"

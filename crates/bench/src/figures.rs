@@ -9,7 +9,7 @@ use mellow_core::WritePolicy;
 use mellow_engine::stats::geometric_mean;
 use mellow_memctrl::MemConfig;
 use mellow_nvm::energy::{CellKind, EnergyModel};
-use mellow_nvm::{EnduranceModel, ExpoFactor, SECONDS_PER_YEAR};
+use mellow_nvm::{EnduranceModel, ExpoFactor, LevelerConfig, SECONDS_PER_YEAR};
 use mellow_sim::Metrics;
 use std::fmt::Write as _;
 
@@ -682,7 +682,9 @@ pub fn ablate(scale: Scale, settings: &SweepSettings) -> String {
         ),
         (
             "Start-Gap psi 10",
-            base().with_edit(|c| c.mem.set_startgap_interval(10)),
+            base().with_edit(|c| {
+                c.mem.leveler = LevelerConfig::start_gap(10, c.mem.spares_per_bank())
+            }),
         ),
         (
             "+WP write pausing (extension)",
@@ -839,7 +841,6 @@ pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
 pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
     use crate::trajectory::repo_root;
     use mellow_engine::json::Json;
-    use mellow_nvm::LevelerConfig;
 
     const WORKLOAD: &str = "gups";
     const LEVELERS: [(&str, LevelerConfig); 3] = [

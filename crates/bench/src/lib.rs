@@ -30,7 +30,5 @@ pub use runner::{
     compare_issue_paths, compare_system_loops, microbench_system_loops, try_experiment_for,
     LoopComparison, MatrixKey, PathComparison, Scale,
 };
-#[allow(deprecated)]
-pub use runner::{experiment_for, run_matrix};
 pub use store::{CellKey, ResultStore, StoreError};
 pub use sweep::{into_matrix, Cell, CellResult, ConfigEdit, Sweep, SweepError, SweepSettings};

@@ -1,7 +1,7 @@
 //! Scale-aware experiment construction.
 
 use mellow_core::WritePolicy;
-use mellow_sim::{Experiment, Metrics};
+use mellow_sim::Experiment;
 use mellow_workloads::{UnknownWorkload, WorkloadSpec};
 
 /// How much simulation to spend per `(workload, policy)` run.
@@ -80,17 +80,6 @@ pub fn try_experiment_for(
         }))
 }
 
-/// Builds the standard paper-configuration experiment for `(workload,
-/// policy)` at `scale`.
-///
-/// # Panics
-///
-/// Panics if `workload` is not a Table IV preset.
-#[deprecated(note = "use `try_experiment_for`, which reports the valid workload names")]
-pub fn experiment_for(workload: &str, policy: WritePolicy, scale: Scale) -> Experiment {
-    try_experiment_for(workload, policy, scale).unwrap_or_else(|e| panic!("unknown workload: {e}"))
-}
-
 /// Wall-clock comparison of the controller's two issue paths on one
 /// workload, produced by [`compare_issue_paths`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +92,7 @@ pub struct PathComparison {
     pub indexed_secs: f64,
     /// Simulated instructions per run (warm-up plus measured window).
     pub instructions: u64,
-    /// Whether the two layouts produced bit-identical [`Metrics`] rows.
+    /// Whether the two layouts produced bit-identical [`Metrics`](mellow_sim::Metrics) rows.
     pub metrics_match: bool,
 }
 
@@ -116,7 +105,7 @@ impl PathComparison {
 }
 
 /// Times each `(workload, policy)` experiment end to end under both
-/// controller queue layouts and checks the [`Metrics`] rows agree bit
+/// controller queue layouts and checks the [`Metrics`](mellow_sim::Metrics) rows agree bit
 /// for bit.
 ///
 /// The layouts are behaviorally identical by construction (see the
@@ -156,23 +145,20 @@ pub fn compare_issue_paths(
         .collect()
 }
 
-/// Wall-clock comparison of the system's three tick loops on one
+/// Wall-clock comparison of the system's two tick loops on one
 /// workload, produced by [`compare_system_loops`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopComparison {
     /// Workload name.
     pub workload: String,
-    /// Wall-clock seconds for the legacy one-cycle-at-a-time loop.
+    /// Wall-clock seconds for the reference one-cycle-at-a-time loop.
     pub cycle_secs: f64,
-    /// Wall-clock seconds for the polling fast-forward loop
-    /// (`SystemConfig::use_fast_forward`).
-    pub fast_secs: f64,
     /// Wall-clock seconds for the event-queue kernel (the default
     /// loop).
     pub event_secs: f64,
     /// Simulated instructions per run (warm-up plus measured window).
     pub instructions: u64,
-    /// Whether all three loops produced bit-identical [`Metrics`] rows.
+    /// Whether both loops produced bit-identical [`Metrics`](mellow_sim::Metrics) rows.
     pub metrics_match: bool,
 }
 
@@ -183,11 +169,6 @@ impl LoopComparison {
         self.cycle_secs / self.event_secs
     }
 
-    /// Event-kernel speedup over the polling fast-forward loop.
-    pub fn fast_speedup(&self) -> f64 {
-        self.fast_secs / self.event_secs
-    }
-
     /// Simulated instructions per wall-clock second under the event
     /// kernel.
     pub fn event_ips(&self) -> f64 {
@@ -195,10 +176,10 @@ impl LoopComparison {
     }
 }
 
-/// Times each `(workload, policy)` experiment end to end under all
-/// three system tick loops (`SystemConfig::use_cycle_loop`,
-/// `SystemConfig::use_fast_forward`, and the event-queue kernel
-/// default) and checks the [`Metrics`] rows agree bit for bit.
+/// Times each `(workload, policy)` experiment end to end under both
+/// system tick loops (`SystemConfig::use_cycle_loop` and the
+/// event-queue kernel default) and checks the [`Metrics`](mellow_sim::Metrics) rows agree
+/// bit for bit.
 ///
 /// The loops are behaviorally identical by construction (see the
 /// equivalence tests in `tests/end_to_end.rs` and the system unit
@@ -213,11 +194,9 @@ pub fn compare_system_loops(
     workloads
         .iter()
         .map(|&w| {
-            let timed = |cycle_loop: bool, fast_forward: bool| {
-                let e = try_experiment_for(w, policy, scale)?.configure(|c| {
-                    c.use_cycle_loop = cycle_loop;
-                    c.use_fast_forward = fast_forward;
-                });
+            let timed = |cycle_loop: bool| {
+                let e = try_experiment_for(w, policy, scale)?
+                    .configure(|c| c.use_cycle_loop = cycle_loop);
                 let start = std::time::Instant::now();
                 let metrics = e.run();
                 Ok::<_, UnknownWorkload>((
@@ -226,18 +205,15 @@ pub fn compare_system_loops(
                     metrics,
                 ))
             };
-            let (cycle_secs, instructions, cycle_metrics) = timed(true, false)?;
-            let (fast_secs, _, fast_metrics) = timed(false, true)?;
-            let (event_secs, _, event_metrics) = timed(false, false)?;
-            let cycle_json = cycle_metrics.to_json().to_string();
+            let (cycle_secs, instructions, cycle_metrics) = timed(true)?;
+            let (event_secs, _, event_metrics) = timed(false)?;
             Ok(LoopComparison {
                 workload: w.to_owned(),
                 cycle_secs,
-                fast_secs,
                 event_secs,
                 instructions,
-                metrics_match: cycle_json == fast_metrics.to_json().to_string()
-                    && cycle_json == event_metrics.to_json().to_string(),
+                metrics_match: cycle_metrics.to_json().to_string()
+                    == event_metrics.to_json().to_string(),
             })
         })
         .collect()
@@ -245,14 +221,13 @@ pub fn compare_system_loops(
 
 /// Times the microbench configuration from `benches/microbench.rs`
 /// (scaled-down caches, 16 MiB working set, 20k instructions, no
-/// warm-up) under all three tick loops, averaging `reps` runs per
-/// loop.
+/// warm-up) under both tick loops, averaging `reps` runs per loop.
 ///
 /// This isolates raw loop overhead from warm-up and large-cache
 /// effects: with a 64 KiB LLC a random-access workload head-blocks the
-/// core for most of its cycles, which is where fast-forward pays off
-/// most. The gups row is the speedup number the `BENCH_system.json`
-/// trajectory tracks.
+/// core for most of its cycles, which is where the event kernel's
+/// jumps pay off most. The gups row is the speedup number the
+/// `BENCH_system.json` trajectory tracks.
 pub fn microbench_system_loops(
     workloads: &[&str],
     reps: u32,
@@ -263,7 +238,7 @@ pub fn microbench_system_loops(
         .map(|&w| {
             let mut spec = WorkloadSpec::try_by_name(w)?;
             spec.working_set_bytes = 16 << 20;
-            let timed = |cycle_loop: bool, fast_forward: bool| {
+            let timed = |cycle_loop: bool| {
                 let mut secs = 0.0;
                 let mut metrics_json = String::new();
                 for _ in 0..reps.max(1) {
@@ -274,7 +249,6 @@ pub fn microbench_system_loops(
                                 c.l2.size_bytes = 16 << 10;
                                 c.llc.size_bytes = 64 << 10;
                                 c.use_cycle_loop = cycle_loop;
-                                c.use_fast_forward = fast_forward;
                             })
                             .build();
                     let start = std::time::Instant::now();
@@ -284,16 +258,14 @@ pub fn microbench_system_loops(
                 }
                 (secs / reps.max(1) as f64, metrics_json)
             };
-            let (cycle_secs, cycle_metrics) = timed(true, false);
-            let (fast_secs, fast_metrics) = timed(false, true);
-            let (event_secs, event_metrics) = timed(false, false);
+            let (cycle_secs, cycle_metrics) = timed(true);
+            let (event_secs, event_metrics) = timed(false);
             Ok(LoopComparison {
                 workload: w.to_owned(),
                 cycle_secs,
-                fast_secs,
                 event_secs,
                 instructions: INSTRUCTIONS,
-                metrics_match: cycle_metrics == fast_metrics && cycle_metrics == event_metrics,
+                metrics_match: cycle_metrics == event_metrics,
             })
         })
         .collect()
@@ -306,36 +278,6 @@ pub struct MatrixKey {
     pub workload: String,
     /// Policy (display form is used for report lookups).
     pub policy: WritePolicy,
-}
-
-/// Runs every `(workload, policy)` combination at `scale`, reporting
-/// progress on stderr.
-///
-/// Results are returned in workload-major order.
-///
-/// # Panics
-///
-/// Panics if any workload is not a Table IV preset.
-#[deprecated(
-    note = "use `Sweep`, which is parallel, cached/resumable, and reports errors instead of \
-            panicking"
-)]
-pub fn run_matrix(
-    workloads: &[&str],
-    policies: &[WritePolicy],
-    scale: Scale,
-) -> Vec<(MatrixKey, Metrics)> {
-    let cells = workloads.iter().flat_map(|&w| {
-        policies
-            .iter()
-            .map(move |&p| crate::Cell::new(w, p))
-            .collect::<Vec<_>>()
-    });
-    let results = crate::Sweep::new(scale)
-        .cells(cells)
-        .run()
-        .unwrap_or_else(|e| panic!("unknown workload: {e}"));
-    crate::into_matrix(results)
 }
 
 #[cfg(test)]
@@ -365,12 +307,5 @@ mod tests {
         let err = try_experiment_for("nope", WritePolicy::norm(), Scale::quick()).unwrap_err();
         assert_eq!(err.requested, "nope");
         assert!(err.to_string().contains("lbm"));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    #[allow(deprecated)]
-    fn unknown_workload_panics_in_deprecated_builder() {
-        let _ = experiment_for("nope", WritePolicy::norm(), Scale::quick());
     }
 }

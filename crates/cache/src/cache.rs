@@ -334,8 +334,8 @@ impl Cache {
         self.input.len() >= self.cfg.input_capacity
     }
 
-    /// The cache's next-event hook for the system's fast-forward loop:
-    /// the earliest time a future [`tick`](Self::tick) could change
+    /// The cache's next-event hook for the system's event kernel: the
+    /// earliest time a future [`tick`](Self::tick) could change
     /// state, or `None` when no future tick can act without new input —
     /// the input queue is empty, or its head is stalled on a full MSHR
     /// file (a stall only a [`deliver_fill`](Self::deliver_fill) can
@@ -700,11 +700,6 @@ impl Cache {
         self.eager.as_mut().map(|e| e.monitor.sample())
     }
 
-    /// Returns the current eager position (`assoc` = none useless).
-    pub fn eager_position(&self) -> Option<usize> {
-        self.eager.as_ref().map(|e| e.monitor.eager_position())
-    }
-
     /// Probes one random set for a useless dirty line (§IV-B1): if
     /// found, the line is marked clean *without eviction* and its address
     /// returned for enqueueing as an Eager Mellow Write.
@@ -759,7 +754,7 @@ impl Cache {
     /// The caller must hold the same preconditions frozen across the
     /// span that the per-cycle loop checks each cycle: LLC input idle,
     /// eager queue room, and no intervening cache activity (all true
-    /// during a fast-forward jump).
+    /// during an event-kernel jump).
     pub fn eager_probe_span(&mut self, rng: &mut DetRng, max_probes: u64) -> (u64, Option<u64>) {
         let Some(eager) = self.eager.as_ref() else {
             return (max_probes, None);
@@ -1015,7 +1010,6 @@ mod tests {
         let mut rng = DetRng::seed_from(2);
         assert!(c.eager_candidate(&mut rng).is_none());
         assert!(c.sample_utility().is_none());
-        assert!(c.eager_position().is_none());
     }
 
     #[test]
@@ -1205,7 +1199,7 @@ mod tests {
         }
     }
 
-    /// Pins the RNG contract the fast-forward batch replay depends on:
+    /// Pins the RNG contract the event kernel's span replay depends on:
     /// each idle-LLC probe draws exactly one `below(num_sets)` value
     /// when the monitor has useless positions, and none at all when
     /// `eager_position == assoc`.

@@ -42,7 +42,7 @@ impl Default for CoreConfig {
 }
 
 /// What a [`Core::tick`] would do in the core's current state — the
-/// core's next-event hook for the system's fast-forward loop.
+/// core's next-event hook for the system's event kernel.
 ///
 /// The core is self-clocked (it has no scheduled future events), so its
 /// contract is a state classification rather than a time: `Active`
@@ -122,7 +122,7 @@ pub struct Core {
     /// ROB entries in `MemState::Waiting`. Maintained at the three
     /// state-transition sites so [`stall`](Self::stall) can classify a
     /// fully-issued ROB as `Blocked` in O(1) instead of scanning all
-    /// `rob_entries` every fast-forward attempt.
+    /// `rob_entries` every event-kernel jump attempt.
     waiting_ops: u32,
     next_id: u64,
     stats: CoreStats,
@@ -310,7 +310,7 @@ impl Core {
         }
     }
 
-    /// Classifies the core's current state for the fast-forward loop
+    /// Classifies the core's current state for the event kernel
     /// (see [`CoreStall`]).
     ///
     /// The classification is conservative: anything not provably a

@@ -204,12 +204,6 @@ impl MemConfig {
         self.leveler.set_spares_per_bank(spares);
     }
 
-    /// Selects Start-Gap with gap interval Ψ, keeping the spare-pool
-    /// size (back-compat setter for the old `startgap_interval` field).
-    pub fn set_startgap_interval(&mut self, psi: u32) {
-        self.leveler = LevelerConfig::start_gap(psi, self.leveler.spares_per_bank());
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

@@ -706,8 +706,8 @@ impl Controller {
         self.raise_dirty("try_eager");
     }
 
-    /// The controller's next-event hook for the system's fast-forward
-    /// loop: the earliest time a future [`tick`](Self::tick) could do
+    /// The controller's next-event hook for the system's event kernel:
+    /// the earliest time a future [`tick`](Self::tick) could do
     /// more than rotate the round-robin origin, or `None` when no
     /// future tick can act without new input (every `try_read`/
     /// `try_write`/`try_eager` resets the horizon to `ZERO`).

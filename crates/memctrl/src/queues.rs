@@ -16,6 +16,14 @@
 //! [`MemConfig::use_scan_queues`](crate::MemConfig) so that equivalence
 //! is continuously *tested* (see `tests/properties.rs` and the
 //! end-to-end workload sweep), not assumed.
+//!
+//! The scan layout is also the only reference for the controller's
+//! skip logic: in scan mode the next-actionable time is always `ZERO`,
+//! so the controller ticks in full on every edge. Both system tick
+//! loops share the controller's internal skip, so only the scan
+//! comparison can catch a late `compute_next_actionable` or a stale
+//! pending-write forwarding index, and FNV goldens cannot stand in for
+//! the random op-stream proptest `controller_queue_layouts_equivalent`.
 
 use mellow_engine::SimTime;
 use std::collections::VecDeque;

@@ -48,19 +48,17 @@ pub struct StartGap {
 
 impl StartGap {
     /// Creates a remapper for `n` logical lines moving the gap every
-    /// `gap_interval` writes.
+    /// `gap_interval` writes (Ψ; the original paper uses 100).
     ///
-    /// Memory controllers should not construct `StartGap` directly any
-    /// more: select it through
-    /// [`LevelerConfig::StartGap`](crate::LevelerConfig) and drive it
-    /// via the [`WearLeveler`](crate::WearLeveler) trait, which also
-    /// routes fault remaps. The raw type stays public for device-level
-    /// tests and microbenchmarks.
+    /// The Start-Gap [`WearLeveler`](crate::WearLeveler) builds one per
+    /// bank; device-level tests and microbenchmarks construct it
+    /// directly. Memory controllers select it through
+    /// [`LevelerConfig::StartGap`](crate::LevelerConfig) instead, so the
+    /// trait also routes fault remaps.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `gap_interval` is zero.
-    #[doc(hidden)]
     pub fn new(n: u64, gap_interval: u32) -> Self {
         assert!(n > 0, "line count must be non-zero");
         assert!(gap_interval > 0, "gap interval must be non-zero");
@@ -72,14 +70,6 @@ impl StartGap {
             since_move: 0,
             move_writes: 0,
         }
-    }
-
-    /// Creates a remapper with the original paper's Ψ = 100. Prefer
-    /// [`LevelerConfig::start_gap_default`](crate::LevelerConfig::start_gap_default)
-    /// from controller code.
-    #[doc(hidden)]
-    pub fn with_default_interval(n: u64) -> Self {
-        Self::new(n, 100)
     }
 
     /// Returns the number of logical lines served.

@@ -41,12 +41,6 @@ pub struct SystemConfig {
     /// equivalence tests assert it); the cycle loop survives as the
     /// reference oracle, like `MemConfig::use_scan_queues`.
     pub use_cycle_loop: bool,
-    /// Drive [`System::run_instructions`](crate::System) with the
-    /// polling fast-forward loop (recompute `min(next_event...)` over
-    /// every component after each tick) instead of the event-queue
-    /// kernel. A second bit-identical oracle, retained alongside
-    /// `use_cycle_loop`; ignored when `use_cycle_loop` is set.
-    pub use_fast_forward: bool,
 }
 
 impl SystemConfig {
@@ -73,7 +67,6 @@ impl SystemConfig {
             seed: 0xC0FFEE,
             track_block_wear: false,
             use_cycle_loop: false,
-            use_fast_forward: false,
         }
     }
 

@@ -296,18 +296,16 @@ fn indexed_and_scan_queue_paths_produce_identical_metrics() {
 }
 
 #[test]
-fn cycle_and_fast_forward_loops_produce_identical_metrics() {
+fn cycle_and_event_loops_produce_identical_metrics() {
     // The event-queue kernel (the default loop) must be a pure
     // performance optimization: on every Table IV workload, a full
     // system run produces a bit-identical metrics row (stats, wear,
-    // energy, IPC) under all three loops — the legacy one-cycle-at-a-
-    // time oracle (`SystemConfig::use_cycle_loop`), the polling
-    // fast-forward oracle (`SystemConfig::use_fast_forward`), and the
-    // event kernel. The policy exercises every replayed per-cycle
+    // energy, IPC) under the event kernel and the one-cycle-at-a-time
+    // reference (`SystemConfig::use_cycle_loop`). The policy exercises every replayed per-cycle
     // effect at once: eager probing (RNG draws), wear-quota periods,
     // slow writes, and cancellation.
     for w in WorkloadSpec::names() {
-        let row = |cycle_loop: bool, fast_forward: bool| {
+        let row = |cycle_loop: bool| {
             let mut spec = WorkloadSpec::by_name(&w).unwrap();
             spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
             spec.working_set_bytes = spec.working_set_bytes.min(16 << 20);
@@ -320,21 +318,18 @@ fn cycle_and_fast_forward_loops_produce_identical_metrics() {
                     c.llc.size_bytes = 64 << 10;
                     c.mem.sample_period = Duration::from_us(10);
                     c.use_cycle_loop = cycle_loop;
-                    c.use_fast_forward = fast_forward;
                 })
                 .run()
                 .to_json()
                 .to_string()
         };
-        let cycle = row(true, false);
-        assert_eq!(cycle, row(false, true), "{w}: fast-forward diverges");
-        assert_eq!(cycle, row(false, false), "{w}: event kernel diverges");
+        assert_eq!(row(true), row(false), "{w}: event kernel diverges");
     }
 }
 
 #[test]
 fn per_block_ground_truth_consistent_with_aggregate_model() {
-    use mellow_writes::nvm::LifetimeModel;
+    use mellow_writes::nvm::{LevelerConfig, LifetimeModel};
 
     // A tiny memory (16 banks x 512 blocks) with fast Start-Gap rotation
     // and a random write-heavy workload, tracked per block.
@@ -349,7 +344,7 @@ fn per_block_ground_truth_consistent_with_aggregate_model() {
             c.l2.size_bytes = 4 << 10;
             c.llc.size_bytes = 8 << 10;
             c.mem.capacity_bytes = 512 << 10;
-            c.mem.set_startgap_interval(4);
+            c.mem.leveler = LevelerConfig::start_gap(4, c.mem.spares_per_bank());
             c.track_block_wear = true;
         });
     let mut system = experiment.build();

@@ -375,8 +375,8 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
-    /// The event-driven fast-forward system loop reproduces the legacy
-    /// cycle loop bit for bit for any Table IV workload, policy, and
+    /// The event-kernel system loop reproduces the reference cycle loop
+    /// bit for bit for any Table IV workload, policy, and
     /// seed (`SystemConfig::use_cycle_loop` is the oracle).
     #[test]
     fn system_tick_loops_equivalent(
@@ -412,9 +412,8 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
-    /// The event-queue kernel reproduces both oracle loops — the pure
-    /// cycle loop and the polling fast-forward loop — bit for bit under
-    /// randomized system shapes: controller queue depths (and drain
+    /// The event-queue kernel reproduces the reference cycle loop bit
+    /// for bit under randomized system shapes: controller queue depths (and drain
     /// thresholds derived from them), eager policies, the memory-clock
     /// divisor, and the utility-monitor sample period. This is the
     /// 256-case sweep guarding the event kernel's horizon bookkeeping
@@ -438,7 +437,7 @@ proptest! {
         let name = names[wl % names.len()].clone();
         // Memory clocks that divide the 2 GHz core clock evenly.
         let mem_mhz = [1000u64, 500, 400, 250, 200][div_idx];
-        let run = |cycle_loop: bool, fast_forward: bool| {
+        let run = |cycle_loop: bool| {
             let mut spec = WorkloadSpec::by_name(&name).unwrap();
             spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
             spec.working_set_bytes = spec.working_set_bytes.min(8 << 20);
@@ -459,14 +458,11 @@ proptest! {
                     c.mem.drain_high = write_cap;
                     c.mem.drain_low = write_cap / 2;
                     c.use_cycle_loop = cycle_loop;
-                    c.use_fast_forward = fast_forward;
                 })
                 .run()
                 .to_json()
                 .to_string()
         };
-        let cycle = run(true, false);
-        prop_assert_eq!(&cycle, &run(false, true));
-        prop_assert_eq!(cycle, run(false, false));
+        prop_assert_eq!(run(true), run(false));
     }
 }

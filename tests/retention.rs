@@ -1,5 +1,5 @@
 //! Retention-layer integration tests: the additivity guarantee
-//! (retention disabled ⇒ bit-identical results, across all three tick
+//! (retention disabled ⇒ bit-identical results, across both tick
 //! loops), loop-equivalence with the scrubber enabled, and a seeded
 //! chaos suite driving the controller through drift expirations,
 //! scrub/demand detections, and failing repair rewrites at many
@@ -32,13 +32,10 @@ fn scaled(workload: &str, policy: WritePolicy, seed: u64) -> Experiment {
         })
 }
 
-/// Applies one of the three tick-loop modes to an experiment.
-fn with_loop(e: Experiment, mode: usize) -> Experiment {
-    e.configure(move |c| match mode {
-        0 => {} // event kernel (the default)
-        1 => c.use_cycle_loop = true,
-        _ => c.use_fast_forward = true,
-    })
+/// Selects the tick loop: the event kernel (the default) or the
+/// reference cycle loop.
+fn with_loop(e: Experiment, cycle_loop: bool) -> Experiment {
+    e.configure(move |c| c.use_cycle_loop = cycle_loop)
 }
 
 /// The additivity guarantee, end to end and across every tick loop: a
@@ -53,9 +50,9 @@ fn zero_knob_retention_layer_is_bit_identical_to_disabled() {
         ("gups", WritePolicy::be_mellow_sc()),
         ("lbm", WritePolicy::b_mellow_sc().with_wear_quota()),
     ] {
-        for mode in 0..3 {
-            let disabled = with_loop(scaled(w, policy, 11), mode).run();
-            let enabled = with_loop(scaled(w, policy, 11), mode)
+        for cycle_loop in [false, true] {
+            let disabled = with_loop(scaled(w, policy, 11), cycle_loop).run();
+            let enabled = with_loop(scaled(w, policy, 11), cycle_loop)
                 .configure(|c| {
                     c.mem.retention.enabled = true;
                     c.mem.retention.base_retention = Duration::ZERO;
@@ -66,20 +63,20 @@ fn zero_knob_retention_layer_is_bit_identical_to_disabled() {
             assert_eq!(
                 disabled.to_json().to_string(),
                 enabled.to_json().to_string(),
-                "{w} loop {mode}: zero-knob retention layer perturbed the run"
+                "{w} cycle_loop={cycle_loop}: zero-knob retention layer perturbed the run"
             );
         }
     }
 }
 
-/// With the drift clock and the scrubber fully enabled, the three tick
+/// With the drift clock and the scrubber fully enabled, the two tick
 /// loops still agree bit-for-bit: scrub wake-ups and repair backoff
 /// releases ride `next_event` exactly, so the event kernel never
 /// sleeps through a visit the cycle loop would have made.
 #[test]
 fn enabled_scrubber_is_loop_equivalent() {
-    let mk = |mode| {
-        with_loop(scaled("gups", WritePolicy::be_mellow_sc(), 23), mode)
+    let mk = |cycle_loop| {
+        with_loop(scaled("gups", WritePolicy::be_mellow_sc(), 23), cycle_loop)
             .configure(|c| {
                 c.mem.retention.enabled = true;
                 c.mem.retention.base_retention = Duration::from_us(20);
@@ -93,24 +90,18 @@ fn enabled_scrubber_is_loop_equivalent() {
             })
             .run()
     };
-    let event = mk(0);
+    let event = mk(false);
     // The run must exercise the machinery, not vacuously agree.
     assert!(event.scrub.scrub_reads > 0, "scrubber never ran");
     assert!(
         event.retention.demand_verify_failures + event.scrub.scrub_rewrites > 0,
         "no drift failure was ever detected"
     );
-    let cycle = mk(1);
-    let fast = mk(2);
+    let cycle = mk(true);
     assert_eq!(
         event.to_json().to_string(),
         cycle.to_json().to_string(),
         "event kernel and cycle loop disagree with the scrubber on"
-    );
-    assert_eq!(
-        event.to_json().to_string(),
-        fast.to_json().to_string(),
-        "event kernel and fast-forward loop disagree with the scrubber on"
     );
 }
 

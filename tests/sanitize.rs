@@ -10,7 +10,7 @@
 //!
 //! The complementary "clean" direction needs no dedicated test: running
 //! this whole suite with `--features sanitize` re-runs the pinned
-//! Metrics goldens (`tests/leveling.rs`) and the three-loop
+//! Metrics goldens (`tests/leveling.rs`) and the cycle-vs-event
 //! equivalence tests with the shadow checker armed, which both proves
 //! real runs are violation-free and that arming the sanitizer leaves
 //! results bit-identical.
