@@ -86,10 +86,9 @@ fn bench_endurance(c: &mut Criterion) {
     });
 }
 
-fn traffic_controller(scan: bool) -> Controller {
+fn traffic_controller() -> Controller {
     let mut cfg = MemConfig::paper_default();
     cfg.capacity_bytes = 1 << 26;
-    cfg.use_scan_queues = scan;
     Controller::new(
         cfg,
         WritePolicy::be_mellow_sc(),
@@ -99,36 +98,28 @@ fn traffic_controller(scan: bool) -> Controller {
 }
 
 fn bench_controller_tick(c: &mut Criterion) {
-    // Same request stream against both queue layouts: `_scan` is the
-    // legacy shared-FIFO baseline, the unsuffixed bench the indexed
-    // per-bank layout the controller now defaults to.
-    for (name, scan) in [
-        ("controller_tick_with_traffic", false),
-        ("controller_tick_with_traffic_scan", true),
-    ] {
-        c.bench_function(name, |b| {
-            let mut ctrl = traffic_controller(scan);
-            let mut rng = DetRng::seed_from(3);
-            let mut cycle = 0u64;
-            b.iter(|| {
-                cycle += 1;
-                let now = SimTime::from_ps(cycle * 2500);
-                if cycle.is_multiple_of(4) {
-                    let _ = ctrl.try_read(rng.below(1 << 18), now);
-                }
-                if cycle.is_multiple_of(16) {
-                    let _ = ctrl.try_write(rng.below(1 << 18), now);
-                }
-                ctrl.tick(now);
-                black_box(ctrl.pop_read_done())
-            });
+    c.bench_function("controller_tick_with_traffic", |b| {
+        let mut ctrl = traffic_controller();
+        let mut rng = DetRng::seed_from(3);
+        let mut cycle = 0u64;
+        b.iter(|| {
+            cycle += 1;
+            let now = SimTime::from_ps(cycle * 2500);
+            if cycle.is_multiple_of(4) {
+                let _ = ctrl.try_read(rng.below(1 << 18), now);
+            }
+            if cycle.is_multiple_of(16) {
+                let _ = ctrl.try_write(rng.below(1 << 18), now);
+            }
+            ctrl.tick(now);
+            black_box(ctrl.pop_read_done())
         });
-    }
-    // Ticks with nothing queued or in flight: the indexed path's
+    });
+    // Ticks with nothing queued or in flight: the controller's
     // next-actionable skip should make these near-free, which is what
     // lets the system loop coast through memory-idle stretches.
     c.bench_function("controller_tick_idle", |b| {
-        let mut ctrl = traffic_controller(false);
+        let mut ctrl = traffic_controller();
         let mut cycle = 0u64;
         b.iter(|| {
             cycle += 1;

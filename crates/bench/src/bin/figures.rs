@@ -11,12 +11,12 @@
 //! `main` runs the shared Figs. 10–17 matrix once and prints all of
 //! them; `all` additionally runs Figs. 1–3, 18, 19 and the tables.
 //! `--full` uses the publication scale (slower); `--tiny` a CI smoke
-//! scale. `perf` is not a paper artifact: it times the controller's
-//! indexed issue path against the legacy scan layout and the system's
-//! event-queue kernel against the reference one-cycle-at-a-time loop
-//! on full-system runs (always uncached, since it measures wall clock
+//! scale. `perf` is not a paper artifact: it times the system's
+//! event-queue kernel against the reference one-cycle-at-a-time loop,
+//! which also ticks the controller in full on every edge, on
+//! full-system runs (always uncached, since it measures wall clock
 //! rather than simulated results), then appends the measurements to
-//! `BENCH_controller.json` / `BENCH_system.json` at the repo root.
+//! `BENCH_system.json` at the repo root.
 //! With `--guard` it additionally exits nonzero when the geomean
 //! speedup regresses below 0.8x the last committed same-scale entry
 //! (the CI perf-smoke check). `sanitize` requires a build with
@@ -212,14 +212,14 @@ fn main() {
     println!("{out}");
 }
 
-/// Times the indexed issue path against the legacy scan layout and the
-/// event-queue kernel against the reference one-cycle-at-a-time loop
-/// on a representative workload spread (streaming, random, write-heavy,
+/// Times the event-queue kernel against the reference
+/// one-cycle-at-a-time loop (which also ticks the controller in full,
+/// so it checks the controller's skip as well as the kernel's jumps) on
+/// a representative workload spread (streaming, random, write-heavy,
 /// multi-stream), reporting per-workload wall clock plus geomean
-/// speedups. Every row must read `identical` — the paths differ only
+/// speedups. Every row must read `identical` — the loops differ only
 /// in wall clock, never in simulated results. Measurements are
-/// appended to `BENCH_controller.json` / `BENCH_system.json` at the
-/// repository root.
+/// appended to `BENCH_system.json` at the repository root.
 ///
 /// Returns the report and whether the `--guard` regression check
 /// passed (always true when `guard` is off or no previous same-scale
@@ -228,7 +228,7 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     use mellow_bench::trajectory::{
         append_records, git_state, last_record, machine_threads, repo_root, BenchRecord,
     };
-    use mellow_bench::{compare_issue_paths, compare_system_loops, microbench_system_loops};
+    use mellow_bench::{compare_system_loops, microbench_system_loops};
     use mellow_core::WritePolicy;
 
     let workloads = ["stream", "gups", "lbm", "GemsFDTD"];
@@ -246,53 +246,10 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     };
     let mut out = String::new();
 
-    eprintln!("timing scan vs indexed issue paths on {workloads:?} (uncached)...");
-    let rows = compare_issue_paths(&workloads, WritePolicy::be_mellow_sc(), scale)
-        .expect("perf workloads are Table IV presets");
-    out.push_str("== controller issue-path wall clock (scan vs indexed, be_mellow_sc) ==\n");
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>8}  {}\n",
-        "workload", "instr", "scan s", "index s", "speedup", "metrics"
-    ));
-    let mut log_sum = 0.0;
-    let mut ctrl_records = Vec::new();
-    for r in &rows {
-        log_sum += r.speedup().ln();
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>9.3} {:>9.3} {:>7.2}x  {}\n",
-            r.workload,
-            r.instructions,
-            r.scan_secs,
-            r.indexed_secs,
-            r.speedup(),
-            if r.metrics_match {
-                "identical"
-            } else {
-                "MISMATCH"
-            }
-        ));
-        ctrl_records.push(record(
-            format!("issue_path/{}", r.workload),
-            Some(r.indexed_secs * 1e9 / r.instructions as f64),
-            None,
-            r.speedup(),
-            scale_label,
-        ));
-    }
-    let ctrl_geomean = (log_sum / rows.len() as f64).exp();
-    out.push_str(&format!("geomean speedup: {ctrl_geomean:.2}x\n"));
-    ctrl_records.push(record(
-        "issue_path/geomean".to_owned(),
-        None,
-        None,
-        ctrl_geomean,
-        scale_label,
-    ));
-
-    eprintln!("timing cycle vs event-kernel system loops on {workloads:?} (uncached)...");
+    eprintln!("timing full-tick cycle vs event-kernel system loops on {workloads:?} (uncached)...");
     let rows = compare_system_loops(&workloads, WritePolicy::be_mellow_sc(), scale)
         .expect("perf workloads are Table IV presets");
-    out.push_str("\n== system tick-loop wall clock (cycle vs event kernel, be_mellow_sc) ==\n");
+    out.push_str("== system tick-loop wall clock (full-tick cycle vs event, be_mellow_sc) ==\n");
     out.push_str(&format!(
         "{:<12} {:>10} {:>9} {:>9} {:>11} {:>8}  {}\n",
         "workload", "instr", "cycle s", "event s", "event ips", "speedup", "metrics"
@@ -393,18 +350,13 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         ));
     }
 
-    for (file, records) in [
-        ("BENCH_controller.json", &ctrl_records),
-        ("BENCH_system.json", &sys_records),
-    ] {
-        let path = repo_root().join(file);
-        match append_records(&path, records) {
-            Ok(total) => out.push_str(&format!(
-                "recorded {} measurements in {file} ({total} total)\n",
-                records.len()
-            )),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+    let path = repo_root().join("BENCH_system.json");
+    match append_records(&path, &sys_records) {
+        Ok(total) => out.push_str(&format!(
+            "recorded {} measurements in BENCH_system.json ({total} total)\n",
+            sys_records.len()
+        )),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
     (out, guard_ok)
 }

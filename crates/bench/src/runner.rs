@@ -80,78 +80,14 @@ pub fn try_experiment_for(
         }))
 }
 
-/// Wall-clock comparison of the controller's two issue paths on one
-/// workload, produced by [`compare_issue_paths`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathComparison {
-    /// Workload name.
-    pub workload: String,
-    /// Wall-clock seconds for the legacy shared-FIFO scan layout.
-    pub scan_secs: f64,
-    /// Wall-clock seconds for the indexed per-bank layout.
-    pub indexed_secs: f64,
-    /// Simulated instructions per run (warm-up plus measured window).
-    pub instructions: u64,
-    /// Whether the two layouts produced bit-identical [`Metrics`](mellow_sim::Metrics) rows.
-    pub metrics_match: bool,
-}
-
-impl PathComparison {
-    /// Indexed-layout speedup over the scan layout (> 1 means the
-    /// indexed path is faster).
-    pub fn speedup(&self) -> f64 {
-        self.scan_secs / self.indexed_secs
-    }
-}
-
-/// Times each `(workload, policy)` experiment end to end under both
-/// controller queue layouts and checks the [`Metrics`](mellow_sim::Metrics) rows agree bit
-/// for bit.
-///
-/// The layouts are behaviorally identical by construction (see the
-/// equivalence tests in `tests/end_to_end.rs`); this measures the
-/// wall-clock benefit of the indexed path on full-system runs, which
-/// the `figures perf` target reports.
-pub fn compare_issue_paths(
-    workloads: &[&str],
-    policy: WritePolicy,
-    scale: Scale,
-) -> Result<Vec<PathComparison>, UnknownWorkload> {
-    workloads
-        .iter()
-        .map(|&w| {
-            let timed = |scan: bool| {
-                let e = try_experiment_for(w, policy, scale)?
-                    .configure(|c| c.mem.use_scan_queues = scan);
-                let start = std::time::Instant::now();
-                let metrics = e.run();
-                Ok::<_, UnknownWorkload>((
-                    start.elapsed().as_secs_f64(),
-                    e.warmup_instructions() + scale.measure,
-                    metrics,
-                ))
-            };
-            let (scan_secs, instructions, scan_metrics) = timed(true)?;
-            let (indexed_secs, _, indexed_metrics) = timed(false)?;
-            Ok(PathComparison {
-                workload: w.to_owned(),
-                scan_secs,
-                indexed_secs,
-                instructions,
-                metrics_match: scan_metrics.to_json().to_string()
-                    == indexed_metrics.to_json().to_string(),
-            })
-        })
-        .collect()
-}
-
 /// Wall-clock comparison of the system's two tick loops on one
 /// workload, produced by [`compare_system_loops`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopComparison {
     /// Workload name.
     pub workload: String,
-    /// Wall-clock seconds for the reference one-cycle-at-a-time loop.
+    /// Wall-clock seconds for the reference one-cycle-at-a-time loop
+    /// (which also ticks the controller in full on every edge).
     pub cycle_secs: f64,
     /// Wall-clock seconds for the event-queue kernel (the default
     /// loop).

@@ -1,10 +1,10 @@
 //! Machine-readable performance trajectories.
 //!
 //! `figures perf` appends one record per benchmark to
-//! `BENCH_system.json` and `BENCH_controller.json` at the repository
-//! root. Each file holds a JSON array of [`BenchRecord`] objects, so
-//! the history of simulator wall-clock performance survives across
-//! commits and can be plotted or diffed without re-running old builds.
+//! `BENCH_system.json` at the repository root. The file holds a JSON
+//! array of [`BenchRecord`] objects, so the history of simulator
+//! wall-clock performance survives across commits and can be plotted
+//! or diffed without re-running old builds.
 //!
 //! Records carry the measurement context needed to compare entries
 //! across commits: the [`Scale`](crate::Scale) preset name, the

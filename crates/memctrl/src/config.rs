@@ -53,11 +53,6 @@ pub struct MemConfig {
     /// attempts the write runs to completion (prevents livelock under a
     /// steady read stream).
     pub max_cancels: u32,
-    /// Use the legacy shared-FIFO scan queues instead of the indexed
-    /// per-bank queues. The two produce bit-identical results; the scan
-    /// layout is the slower reference implementation kept for the
-    /// equivalence tests.
-    pub use_scan_queues: bool,
     /// Wear-leveling scheme and its knobs (gap/rotation interval,
     /// spare-pool size). Replaces the old `startgap_interval` and
     /// `spares_per_bank` scalars; the default is Start-Gap at the
@@ -131,7 +126,6 @@ impl MemConfig {
             sample_period: Duration::from_us(500),
             cancel_threshold: 0.75,
             max_cancels: 4,
-            use_scan_queues: false,
             leveler: LevelerConfig::start_gap_default(),
             leveling_efficiency: 0.9,
             max_write_retries: 2,

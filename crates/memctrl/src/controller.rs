@@ -15,8 +15,7 @@ use mellow_nvm::{
     CancelWear, EnduranceModel, FaultState, LevelerStats, LifetimeModel, LifetimeProjection,
     ReadVerify, RemapOutcome, RetentionState, WearLedger, WearLeveler, WriteVerify,
 };
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Counters exposed by the controller (the raw material of Figs. 2–3 and
 /// 10–18).
@@ -354,13 +353,11 @@ struct Completion {
 /// Write speeds follow the configured [`WritePolicy`] through the
 /// Figure 9 decision tree.
 ///
-/// The queues are held in per-bank indexed form (see the `queues`
-/// module) so bank arbitration never scans a shared FIFO, a line index
-/// answers read-forwarding lookups in O(1), and [`tick`](Self::tick)
-/// fast-paths any cycle provably before the next actionable event.
-/// Setting [`MemConfig::use_scan_queues`] reverts to the legacy
-/// shared-FIFO scan implementation, which produces bit-identical
-/// results and anchors the equivalence tests.
+/// The queues are held per bank (see the `queues` module), so bank
+/// arbitration and read-forwarding lookups only walk the target bank,
+/// and [`tick`](Self::tick) fast-paths any cycle provably before the
+/// next actionable event. [`tick_full`](Self::tick_full) runs every
+/// cycle in full and is the reference that skip is checked against.
 ///
 /// Drive it by calling [`tick`](Self::tick) once per memory-clock cycle;
 /// offer work with [`try_read`](Self::try_read) /
@@ -401,12 +398,6 @@ pub struct Controller {
     endurance: EnduranceModel,
     cancel_wear: CancelWear,
     queues: RequestQueues,
-    /// Pending demand/eager writes per raw line address (queued plus
-    /// in-flight), for O(1) read-forwarding lookups. Counted, because
-    /// the same line can be written back repeatedly. Membership is
-    /// unchanged by issue and cancel (the write stays pending either
-    /// way); only acceptance and completion move the count.
-    pending_line_writes: HashMap<u64, u32>,
     banks: Banks,
     /// Recent activation times per rank, for tFAW.
     rank_acts: Vec<VecDeque<SimTime>>,
@@ -513,8 +504,7 @@ impl Controller {
             .enabled
             .then(|| RetentionState::new(cfg.retention, banks, cfg.blocks_per_bank()));
         Controller {
-            queues: RequestQueues::new(banks, cfg.use_scan_queues),
-            pending_line_writes: HashMap::new(),
+            queues: RequestQueues::new(banks),
             banks: Banks::new(banks),
             rank_acts: (0..cfg.num_ranks).map(|_| VecDeque::new()).collect(),
             bus_free_at: SimTime::ZERO,
@@ -596,20 +586,27 @@ impl Controller {
         self.banks.in_flight[bank].is_some_and(|op| op.line == line && op.kind != OpKind::Read)
     }
 
+    /// Whether a write for `line` (which maps to `bank`) is still
+    /// pending: queued, in flight at the bank, or a repair parked in its
+    /// verify-retry backoff. Every accepted write stays in one of these
+    /// three sets until it completes or is lost. Walks only the line's
+    /// bank queues and the few parked repairs.
+    fn has_pending_write(&self, line: u64, bank: usize) -> bool {
+        self.queues.has_queued_write(line, bank)
+            || self.write_in_flight_at(line, bank)
+            || self.deferred_repairs.iter().any(|(_, r)| r.line == line)
+    }
+
     /// Offers a read for `line`. Returns `false` when the read queue is
-    /// full. Reads of lines with a pending write — queued *or* already
-    /// in flight at the bank — are serviced by forwarding without
-    /// touching the banks. (Were in-flight writes not forwarded, such a
-    /// read would enter the read queue and could cancel the very write
-    /// holding the only copy of its data.)
+    /// full. Reads of lines with a pending write — queued, already in
+    /// flight at the bank, or a repair parked in its backoff — are
+    /// serviced by forwarding without touching the banks. (Were
+    /// in-flight writes not forwarded, such a read would enter the read
+    /// queue and could cancel the very write holding the only copy of
+    /// its data.)
     pub fn try_read(&mut self, line: u64, now: SimTime) -> bool {
         let bank = self.cfg.map_line(line).bank;
-        let pending_write = if self.queues.is_scan() {
-            self.queues.has_queued_write(line, bank) || self.write_in_flight_at(line, bank)
-        } else {
-            self.pending_line_writes.contains_key(&line)
-        };
-        if pending_write {
+        if self.has_pending_write(line, bank) {
             // Forward from the pending write: data returns after the
             // column + bus latency without disturbing the banks.
             self.stats.reads_forwarded += 1;
@@ -666,7 +663,6 @@ impl Controller {
             retries: 0,
             repair: false,
         });
-        *self.pending_line_writes.entry(line).or_insert(0) += 1;
         self.stats.demand_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         self.raise_dirty("try_write");
@@ -700,7 +696,6 @@ impl Controller {
             retries: 0,
             repair: false,
         });
-        *self.pending_line_writes.entry(line).or_insert(0) += 1;
         self.stats.eager_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         self.raise_dirty("try_eager");
@@ -791,7 +786,9 @@ impl Controller {
         s
     }
 
-    /// Advances the controller to memory-clock edge `now`.
+    /// Advances the controller to memory-clock edge `now`, skipping
+    /// the work of any edge before the next actionable time.
+    // mellow-lint: allow(horizon-protocol) -- fast path only rotates the rr origin, leaving next_actionable unchanged; every other edge raises the flag in tick_full
     pub fn tick(&mut self, now: SimTime) {
         if now < self.next_actionable {
             // Nothing can act yet. Keep round-robin fairness identical
@@ -799,6 +796,14 @@ impl Controller {
             self.rr_start = (self.rr_start + 1) % self.banks.len();
             return;
         }
+        self.tick_full(now);
+    }
+
+    /// Advances the controller to memory-clock edge `now` in full,
+    /// without [`tick`](Self::tick)'s skip: the reference that skip
+    /// must match bit for bit. The system's cycle reference loop drives
+    /// the controller through this.
+    pub fn tick_full(&mut self, now: SimTime) {
         self.drain_forwarded(now);
         self.release_deferred_repairs(now);
         self.process_completions(now);
@@ -829,8 +834,7 @@ impl Controller {
     /// decision that is `Idle` now likewise stays `Idle` until one of
     /// those same events changes the bank's queue view.
     fn compute_next_actionable(&self, now: SimTime, tfaw_blocked: bool) -> SimTime {
-        if self.queues.is_scan() || tfaw_blocked {
-            // Scan mode is the always-full-tick reference implementation.
+        if tfaw_blocked {
             return SimTime::ZERO;
         }
         let wq = self.queues.write_len();
@@ -931,16 +935,6 @@ impl Controller {
     fn complete_write(&mut self, bank_idx: usize, op: InFlight) {
         if self.faults.is_some() && !self.verify_write(bank_idx, &op) {
             return;
-        }
-        match self.pending_line_writes.entry(op.line) {
-            Entry::Occupied(mut e) => {
-                if *e.get() <= 1 {
-                    e.remove();
-                } else {
-                    *e.get_mut() -= 1;
-                }
-            }
-            Entry::Vacant(_) => debug_assert!(false, "completed write missing from line index"),
         }
         let factor = op.factor;
         let phys = self.leveler.remap(bank_idx, op.mapping.block);
@@ -1071,8 +1065,8 @@ impl Controller {
 
     /// Re-queues a verify-failed write at the front of its queue (age
     /// priority preserved, like a cancel). The data is still latched at
-    /// the bank, so the retry skips the bus transfer, and the line stays
-    /// in the pending index — reads keep forwarding from it.
+    /// the bank, so the retry skips the bus transfer, and the write
+    /// stays pending — reads keep forwarding from it.
     fn requeue_failed(&mut self, bank_idx: usize, op: &InFlight, retries: u32) {
         let req = QueuedReq {
             line: op.line,
@@ -1090,7 +1084,8 @@ impl Controller {
     }
 
     /// Drops a write whose data cannot be preserved (stuck block with no
-    /// spares left): counts the loss and releases the pending-line entry.
+    /// spares left): counts the loss. The write is not re-queued, so it
+    /// stops being pending and later reads of its line go to the array.
     fn drop_lost_write(&mut self, op: &InFlight) {
         self.fault_stats.uncorrectable += 1;
         if op.repair {
@@ -1105,16 +1100,6 @@ impl Controller {
             // block's drift clock is retired until a future write
             // restamps it.
             r.forget(op.mapping.bank, op.mapping.block);
-        }
-        match self.pending_line_writes.entry(op.line) {
-            Entry::Occupied(mut e) => {
-                if *e.get() <= 1 {
-                    e.remove();
-                } else {
-                    *e.get_mut() -= 1;
-                }
-            }
-            Entry::Vacant(_) => debug_assert!(false, "lost write missing from line index"),
         }
     }
 
@@ -1156,7 +1141,7 @@ impl Controller {
         let line = self.line_for(bank_idx, block);
         // A line with a pending write needs no repair: that write will
         // restamp the drift clock when it lands.
-        let expired = !self.pending_line_writes.contains_key(&line)
+        let expired = !self.has_pending_write(line, bank_idx)
             && self
                 .retention
                 .as_ref()
@@ -1174,7 +1159,7 @@ impl Controller {
         let expired = self.retention.as_ref().is_some_and(|r| {
             r.verify_read(bank_idx, op.mapping.block, op.end) == ReadVerify::Failed
         });
-        if !expired || self.pending_line_writes.contains_key(&op.line) {
+        if !expired || self.has_pending_write(op.line, bank_idx) {
             // Clean, or a pending write will restamp the block anyway
             // (and scrub may already have enqueued the repair).
             return;
@@ -1200,7 +1185,6 @@ impl Controller {
             retries: 0,
             repair: true,
         });
-        *self.pending_line_writes.entry(line).or_insert(0) += 1;
     }
 
     /// Parks a verify-failed repair rewrite until its backoff elapses:
@@ -1510,9 +1494,12 @@ impl Controller {
     ) {
         let factor = match speed {
             WriteSpeed::Normal => 1.0,
-            // +GR: grade the slowdown by write-queue pressure.
+            // +GR: grade the slowdown by write-queue pressure. Cancel
+            // and pause requeues, verify retries and repairs enter the
+            // write queue without the acceptance cap check, so it can
+            // run past its cap; that is full pressure, not an error.
             WriteSpeed::Slow => self.policy.slow_factor_for_occupancy(
-                self.queues.write_len() as f64 / self.cfg.write_queue_cap as f64,
+                (self.queues.write_len() as f64 / self.cfg.write_queue_cap as f64).min(1.0),
             ),
         };
         // A resumed (+WP) write only drives its outstanding fraction.
@@ -1829,7 +1816,7 @@ mod tests {
         // Nothing completed, but all four driven pulses charged wear.
         assert_eq!(c.stats().writes_completed_normal, 0);
         assert!((c.ledger().total_wear() - 4.0).abs() < 1e-12);
-        // The lost line left the pending index: a later read must go to
+        // The lost write is no longer pending: a later read must go to
         // the array instead of forwarding stale write data.
         assert!(c.try_read(7, SimTime::from_ps(10_001 * 2500)));
         assert_eq!(c.stats().reads_forwarded, 0);
@@ -1958,20 +1945,26 @@ mod tests {
         assert_eq!(c.retention_stats().demand_verify_failures, 1);
     }
 
-    #[test]
-    fn repair_write_failures_walk_the_remap_path() {
+    /// The `retention_cfg` controller with one retry, one spare per bank
+    /// and cells that endure two writes, so every repair rewrite to an
+    /// already-written block fails verify.
+    fn failing_repair_controller(repair_backoff: Duration) -> Controller {
         let mut cfg = retention_cfg();
         cfg.max_write_retries = 1;
         cfg.set_spares_per_bank(1);
         cfg.fault.enabled = true; // sigma 0: every block endures 2 writes
-        let mut c = Controller::new(
+        cfg.repair_backoff = repair_backoff;
+        Controller::new(
             cfg,
             WritePolicy::norm(),
-            // Two writes per cell group: the host write spends one, so
-            // every repair rewrite to the original group fails verify.
             EnduranceModel::new(Duration::from_ns(150), 2.0, ExpoFactor::QUADRATIC),
             CancelWear::Prorated,
-        );
+        )
+    }
+
+    #[test]
+    fn repair_write_failures_walk_the_remap_path() {
+        let mut c = failing_repair_controller(MemConfig::paper_default().repair_backoff);
         assert!(c.try_write(7, SimTime::ZERO));
         // First expiry (~66 µs): repair fails, backs off, fails again,
         // remaps to the bank's one spare, succeeds there. Second expiry
@@ -2000,6 +1993,25 @@ mod tests {
         run_span(&mut c, 60_000, 120_000);
         assert_eq!(c.scrub_stats().scrub_rewrites, 2);
         assert_eq!(c.retention_stats().retention_uncorrectable, 1);
+    }
+
+    #[test]
+    fn reads_forward_from_a_parked_repair() {
+        let mut c = failing_repair_controller(Duration::from_us(5));
+        assert!(c.try_write(7, SimTime::ZERO));
+        // The first repair of line 7 (~66 µs) fails verify and parks for
+        // its 5 µs backoff.
+        let mut cycle = 0;
+        while c.deferred_repairs.is_empty() {
+            cycle += 1;
+            assert!(cycle <= 60_000, "no repair parked within 150 µs");
+            c.tick(SimTime::from_ps(cycle * 2500));
+        }
+        // The parked repair holds the line's data: a read forwards from
+        // it rather than queueing for the drifted array copy.
+        assert!(c.try_read(7, SimTime::from_ps(cycle * 2500)));
+        assert_eq!(c.stats().reads_forwarded, 1);
+        assert_eq!(c.queue_depths().0, 0);
     }
 
     #[test]

@@ -458,38 +458,23 @@ mod tests {
         assert_eq!(mk(), mk());
     }
 
-    /// A controller on the requested queue layout (64 MiB capacity).
-    fn ctrl_layout(policy: WritePolicy, scan: bool) -> Controller {
-        let mut cfg = MemConfig::paper_default();
-        cfg.capacity_bytes = 1 << 26;
-        cfg.use_scan_queues = scan;
-        Controller::new(
-            cfg,
-            policy,
-            EnduranceModel::reram_default(),
-            CancelWear::Prorated,
-        )
-    }
-
     #[test]
     fn reads_of_in_flight_writes_forward_instead_of_cancelling() {
         // Regression: a read for the very line being written used to
         // enter the read queue (only *queued* writes were forwarded),
         // and the next tick cancelled the in-flight write holding the
         // only copy of the read's data.
-        for scan in [false, true] {
-            let mut c = ctrl_layout(WritePolicy::b_mellow_sc(), scan);
-            c.try_write(0, SimTime::ZERO);
-            run(&mut c, 1, 20); // lone slow write in flight (cancellable)
-            assert_eq!(c.stats().writes_issued_slow, 1);
-            assert!(c.try_read(0, SimTime::from_ps(20 * MEM_CYCLE_PS)));
-            assert_eq!(c.stats().reads_forwarded, 1);
-            assert_eq!(c.stats().reads_forwarded_in_flight, 1);
-            run(&mut c, 21, 300);
-            assert_eq!(c.stats().writes_cancelled, 0, "scan={scan}");
-            assert_eq!(c.pop_read_done(), Some(0));
-            assert_eq!(c.stats().writes_completed_slow, 1);
-        }
+        let mut c = ctrl(WritePolicy::b_mellow_sc());
+        c.try_write(0, SimTime::ZERO);
+        run(&mut c, 1, 20); // lone slow write in flight (cancellable)
+        assert_eq!(c.stats().writes_issued_slow, 1);
+        assert!(c.try_read(0, SimTime::from_ps(20 * MEM_CYCLE_PS)));
+        assert_eq!(c.stats().reads_forwarded, 1);
+        assert_eq!(c.stats().reads_forwarded_in_flight, 1);
+        run(&mut c, 21, 300);
+        assert_eq!(c.stats().writes_cancelled, 0);
+        assert_eq!(c.pop_read_done(), Some(0));
+        assert_eq!(c.stats().writes_completed_slow, 1);
     }
 
     #[test]
@@ -498,28 +483,26 @@ mod tests {
         // bursting over the bus (now < pulse_start) was re-queued
         // `data_resident`, so its retry skipped the transfer it never
         // finished. The retry must re-burst.
-        for scan in [false, true] {
-            let mut c = ctrl_layout(WritePolicy::slow().with_cancel_slow(), scan);
-            // Write issues at cycle 1 (2.5 ns): bus 2.5..22.5 ns, slow
-            // pulse 22.5..472.5 ns.
-            c.try_write(0, SimTime::ZERO);
-            run(&mut c, 1, 1);
-            // A same-bank read arrives at 5 ns; the cancel fires at
-            // 7.5 ns, mid-burst.
-            c.try_read(same_bank_line(0), SimTime::from_ps(2 * MEM_CYCLE_PS));
-            run(&mut c, 3, 1);
-            assert_eq!(c.stats().writes_cancelled, 1, "scan={scan}");
-            assert_eq!(c.stats().pre_pulse_cancels, 1, "scan={scan}");
-            // Timeline from here: read 7.5..150 ns occupies the bank;
-            // the retry issues at 152.5 ns and — because it must
-            // re-burst — pulses 172.5..622.5 ns. Were the retry wrongly
-            // `data_resident`, it would complete 20 ns (8 cycles)
-            // earlier, at 602.5 ns.
-            run(&mut c, 4, 241); // through cycle 244 (610 ns)
-            assert_eq!(c.stats().writes_completed_slow, 0, "scan={scan}");
-            run(&mut c, 245, 10);
-            assert_eq!(c.stats().writes_completed_slow, 1, "scan={scan}");
-        }
+        let mut c = ctrl(WritePolicy::slow().with_cancel_slow());
+        // Write issues at cycle 1 (2.5 ns): bus 2.5..22.5 ns, slow
+        // pulse 22.5..472.5 ns.
+        c.try_write(0, SimTime::ZERO);
+        run(&mut c, 1, 1);
+        // A same-bank read arrives at 5 ns; the cancel fires at
+        // 7.5 ns, mid-burst.
+        c.try_read(same_bank_line(0), SimTime::from_ps(2 * MEM_CYCLE_PS));
+        run(&mut c, 3, 1);
+        assert_eq!(c.stats().writes_cancelled, 1);
+        assert_eq!(c.stats().pre_pulse_cancels, 1);
+        // Timeline from here: read 7.5..150 ns occupies the bank;
+        // the retry issues at 152.5 ns and — because it must
+        // re-burst — pulses 172.5..622.5 ns. Were the retry wrongly
+        // `data_resident`, it would complete 20 ns (8 cycles)
+        // earlier, at 602.5 ns.
+        run(&mut c, 4, 241); // through cycle 244 (610 ns)
+        assert_eq!(c.stats().writes_completed_slow, 0);
+        run(&mut c, 245, 10);
+        assert_eq!(c.stats().writes_completed_slow, 1);
     }
 
     #[test]
@@ -527,37 +510,36 @@ mod tests {
         // Regression: cancelling a write mid-burst refunded the bank but
         // left `bus_free_at` at the aborted transfer's slot, delaying
         // unrelated reads behind a phantom reservation.
-        for scan in [false, true] {
-            let mut c = ctrl_layout(WritePolicy::slow().with_cancel_slow(), scan);
-            // Eight writes to eight banks serialize on the bus: the
-            // bank-7 write only starts its pulse at 162.5 ns.
-            for bank in 0..8 {
-                c.try_write(bank as u64, SimTime::ZERO);
-            }
-            run(&mut c, 1, 1);
-            assert_eq!(c.stats().writes_issued_slow, 8);
-            // A read for bank 7 (5 ns) cancels that write pre-pulse at
-            // 7.5 ns, releasing its 162.5 ns bus slot; the read's data
-            // moves at 130..150 ns (latency 145 ns). With the stale
-            // reservation it would wait until 162.5 ns (latency 175 ns).
-            c.try_read(same_bank_line(7), SimTime::from_ps(2 * MEM_CYCLE_PS));
-            run(&mut c, 3, 70);
-            assert_eq!(c.stats().pre_pulse_cancels, 1, "scan={scan}");
-            assert_eq!(c.pop_read_done(), Some(same_bank_line(7)));
-            let lat = c.stats().read_latency_ns.max();
-            assert!(
-                lat <= 150,
-                "scan={scan}: read waited on a cancelled transfer's bus slot ({lat} ns)"
-            );
+        let mut c = ctrl(WritePolicy::slow().with_cancel_slow());
+        // Eight writes to eight banks serialize on the bus: the
+        // bank-7 write only starts its pulse at 162.5 ns.
+        for bank in 0..8 {
+            c.try_write(bank as u64, SimTime::ZERO);
         }
+        run(&mut c, 1, 1);
+        assert_eq!(c.stats().writes_issued_slow, 8);
+        // A read for bank 7 (5 ns) cancels that write pre-pulse at
+        // 7.5 ns, releasing its 162.5 ns bus slot; the read's data
+        // moves at 130..150 ns (latency 145 ns). With the stale
+        // reservation it would wait until 162.5 ns (latency 175 ns).
+        c.try_read(same_bank_line(7), SimTime::from_ps(2 * MEM_CYCLE_PS));
+        run(&mut c, 3, 70);
+        assert_eq!(c.stats().pre_pulse_cancels, 1);
+        assert_eq!(c.pop_read_done(), Some(same_bank_line(7)));
+        let lat = c.stats().read_latency_ns.max();
+        assert!(
+            lat <= 150,
+            "read waited on a cancelled transfer's bus slot ({lat} ns)"
+        );
     }
 
     #[test]
-    fn scan_and_indexed_layouts_are_bit_identical() {
-        // Drive both queue layouts with an identical pseudo-random
-        // request stream (reads, writes, eager writes, line collisions,
-        // quota periods) and require identical counters, wear, energy,
-        // and queue occupancies at every probe point.
+    fn tick_and_tick_full_are_bit_identical() {
+        // Drive the skipping `tick` and the full-tick reference with an
+        // identical pseudo-random request stream (reads, writes, eager
+        // writes, line collisions, quota periods) and require identical
+        // counters, wear, energy, and queue occupancies at every probe
+        // point.
         let policies = [
             WritePolicy::norm(),
             WritePolicy::slow().with_cancel_slow(),
@@ -567,11 +549,10 @@ mod tests {
             WritePolicy::slow().with_graded_latency().with_cancel_slow(),
         ];
         for policy in policies {
-            let fingerprint = |scan: bool| {
+            let fingerprint = |full: bool| {
                 let mut cfg = MemConfig::paper_default();
                 cfg.capacity_bytes = 1 << 22; // 4 MiB: dense collisions
                 cfg.sample_period = Duration::from_us(5);
-                cfg.use_scan_queues = scan;
                 let mut c = Controller::new(
                     cfg,
                     policy,
@@ -587,8 +568,12 @@ mod tests {
                 };
                 let mut probes = String::new();
                 for cyc in 1..25_000u64 {
-                    c.tick(SimTime::from_ps(cyc * MEM_CYCLE_PS));
                     let now = SimTime::from_ps(cyc * MEM_CYCLE_PS);
+                    if full {
+                        c.tick_full(now);
+                    } else {
+                        c.tick(now);
+                    }
                     match rng() % 16 {
                         0 | 1 => {
                             c.try_read(rng() % 4096, now);

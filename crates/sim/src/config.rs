@@ -36,10 +36,13 @@ pub struct SystemConfig {
     /// on small-capacity configurations.
     pub track_block_wear: bool,
     /// Drive [`System::run_instructions`](crate::System) with the
-    /// legacy one-cycle-at-a-time loop instead of the event-queue
-    /// kernel. The loops produce bit-identical results (the
-    /// equivalence tests assert it); the cycle loop survives as the
-    /// reference oracle, like `MemConfig::use_scan_queues`.
+    /// one-cycle-at-a-time reference loop instead of the event-queue
+    /// kernel. The reference loop ticks every component in full on
+    /// every cycle, the memory controller included
+    /// (`Controller::tick_full`, bypassing its next-actionable skip).
+    /// The loops produce bit-identical results (the equivalence tests
+    /// assert it), so this one switch checks both the kernel's jumps
+    /// and the controller's skip.
     pub use_cycle_loop: bool,
 }
 

@@ -252,7 +252,13 @@ impl System {
         self.l2.tick(now);
         self.llc.tick(now);
         if self.cycle.is_multiple_of(self.mem_divisor) {
-            self.ctrl.tick(now);
+            // The cycle reference loop also forgoes the controller's
+            // internal skip, so it checks that skip too.
+            if self.cfg.use_cycle_loop {
+                self.ctrl.tick_full(now);
+            } else {
+                self.ctrl.tick(now);
+            }
         }
 
         // Responses upward.
@@ -562,8 +568,9 @@ impl System {
     /// utility-monitor sample boundary — batch-replaying the skipped
     /// ticks' side effects (see
     /// [`advance_event`](Self::advance_event)). The reference loop,
-    /// [`SystemConfig::use_cycle_loop`], ticks every cycle instead and
-    /// produces bit-identical results; the equivalence tests pin it.
+    /// [`SystemConfig::use_cycle_loop`], instead ticks every cycle and
+    /// the controller in full, and produces bit-identical results; the
+    /// equivalence tests pin it.
     ///
     /// # Panics
     ///

@@ -267,35 +267,6 @@ fn all_policies_run_all_workloads_scaled() {
 }
 
 #[test]
-fn indexed_and_scan_queue_paths_produce_identical_metrics() {
-    // The controller's indexed per-bank queues must be a pure
-    // performance optimization: on every Table IV workload, a full
-    // system run produces a bit-identical metrics row to the legacy
-    // shared-FIFO scan layout (`MemConfig::use_scan_queues`).
-    for w in WorkloadSpec::names() {
-        let row = |scan: bool| {
-            let mut spec = WorkloadSpec::by_name(&w).unwrap();
-            spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
-            spec.working_set_bytes = spec.working_set_bytes.min(16 << 20);
-            Experiment::with_spec(spec, WritePolicy::be_mellow_sc().with_wear_quota())
-                .warmup(30_000)
-                .instructions(50_000)
-                .configure(move |c| {
-                    c.l1.size_bytes = 4 << 10;
-                    c.l2.size_bytes = 16 << 10;
-                    c.llc.size_bytes = 64 << 10;
-                    c.mem.sample_period = Duration::from_us(10);
-                    c.mem.use_scan_queues = scan;
-                })
-                .run()
-                .to_json()
-                .to_string()
-        };
-        assert_eq!(row(true), row(false), "{w}: queue layouts diverge");
-    }
-}
-
-#[test]
 fn cycle_and_event_loops_produce_identical_metrics() {
     // The event-queue kernel (the default loop) must be a pure
     // performance optimization: on every Table IV workload, a full
@@ -325,6 +296,22 @@ fn cycle_and_event_loops_produce_identical_metrics() {
         };
         assert_eq!(row(true), row(false), "{w}: event kernel diverges");
     }
+}
+
+#[test]
+fn slow_writes_survive_a_write_queue_past_its_cap() {
+    // Regression: cancel requeues enter the write queue without the
+    // acceptance cap check, so it can run past its cap, and the next
+    // slow write then aborted the run on a write-queue occupancy above
+    // 1. Cancellable slow writes on a 1 MiB device under gups get there
+    // within this window.
+    let m = scaled("gups", WritePolicy::slow().with_cancel_slow(), 1)
+        .warmup(20_000)
+        .instructions(60_000)
+        .configure(|c| c.mem.capacity_bytes = 1 << 20)
+        .run();
+    assert!(m.instructions >= 60_000);
+    assert!(m.ctrl.writes_cancelled > 0, "{:?}", m.ctrl);
 }
 
 #[test]

@@ -5,6 +5,7 @@ use mellow_writes::core::{
     WritePolicy,
 };
 use mellow_writes::engine::{BoundedQueue, Clock, Duration, SimTime, TimerQueue};
+use mellow_writes::memctrl::{Controller, MemConfig, ScrubPriority};
 use mellow_writes::nvm::{CancelWear, EnduranceModel, ExpoFactor, StartGap, WearLedger};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -31,6 +32,49 @@ fn arb_policy() -> impl Strategy<Value = WritePolicy> {
                 p = p.with_wear_quota();
             }
             p
+        })
+}
+
+/// A small controller configuration (dense bank/line collisions, short
+/// quota periods) with the reliability knobs drawn: retention on/off
+/// and its base retention, the scrub interval (off in half the cases)
+/// and priority, the repair backoff (zero in half the cases), and the
+/// transient fault rate with the spare pool and retry budget. The write
+/// queue cap (with drain thresholds derived from it) is drawn too, so
+/// retries and repairs regularly push the queue past its cap.
+fn arb_reliability_config() -> impl Strategy<Value = MemConfig> {
+    (
+        (any::<bool>(), 100u64..5_000),
+        (any::<bool>(), 20u64..2_000, any::<bool>()),
+        (any::<bool>(), 1u64..500),
+        (0.0f64..0.3, 0u64..4, 0u32..3),
+        8usize..33,
+    )
+        .prop_map(|(retention, scrub, backoff, fault, write_cap)| {
+            let (retention_on, retention_ns) = retention;
+            let (scrub_on, scrub_ns, scrub_first) = scrub;
+            let (backoff_on, backoff_ns) = backoff;
+            let (transient_rate, spares, retries) = fault;
+            let mut cfg = MemConfig::paper_default();
+            cfg.capacity_bytes = 1 << 22;
+            cfg.sample_period = Duration::from_us(2);
+            cfg.retention.enabled = retention_on;
+            cfg.retention.base_retention = Duration::from_ns(retention_ns);
+            cfg.scrub_interval = Duration::from_ns(if scrub_on { scrub_ns } else { 0 });
+            cfg.scrub_priority = if scrub_first {
+                ScrubPriority::ScrubFirst
+            } else {
+                ScrubPriority::EagerFirst
+            };
+            cfg.repair_backoff = Duration::from_ns(if backoff_on { backoff_ns } else { 0 });
+            cfg.fault.enabled = true;
+            cfg.fault.transient_rate = transient_rate;
+            cfg.set_spares_per_bank(spares);
+            cfg.max_write_retries = retries;
+            cfg.write_queue_cap = write_cap;
+            cfg.drain_high = write_cap;
+            cfg.drain_low = write_cap / 2;
+            cfg
         })
 }
 
@@ -316,31 +360,34 @@ proptest! {
         prop_assert!((scaled.as_ps() as f64 - expect).abs() <= 1.0);
     }
 
-    /// The memory controller's indexed per-bank queues issue in exactly
-    /// the order of the legacy shared-FIFO scan layout: for any policy
-    /// and any request stream, every counter, the wear total, and the
-    /// final queue occupancies agree bit for bit.
+    /// The controller's next-actionable skip is invisible: for any
+    /// policy, reliability configuration and request stream, `tick`
+    /// (which fast-paths edges before the next actionable time) and
+    /// `tick_full` (which runs every edge in full) agree bit for bit,
+    /// at every drain probe, on every counter — issue, fault, retention
+    /// and scrub — the wear total, the energy account and the queue
+    /// occupancies.
     #[test]
-    fn controller_queue_layouts_equivalent(
+    fn controller_skip_matches_full_ticks(
         policy in arb_policy(),
+        cfg in arb_reliability_config(),
         ops in proptest::collection::vec((0u8..12, 0u64..1024), 0..300),
     ) {
-        use mellow_writes::memctrl::{Controller, MemConfig};
-
-        let run = |scan: bool| {
-            let mut cfg = MemConfig::paper_default();
-            cfg.capacity_bytes = 1 << 22; // small: dense bank/line collisions
-            cfg.sample_period = Duration::from_us(2);
-            cfg.use_scan_queues = scan;
+        let run = |full: bool| {
             let mut c = Controller::new(
-                cfg,
+                cfg.clone(),
                 policy,
                 EnduranceModel::reram_default(),
                 CancelWear::Prorated,
             );
             let mut cyc = 1u64;
             let tick = |c: &mut Controller, cyc: &mut u64| {
-                c.tick(SimTime::from_ps(*cyc * 2500));
+                let now = SimTime::from_ps(*cyc * 2500);
+                if full {
+                    c.tick_full(now);
+                } else {
+                    c.tick(now);
+                }
                 *cyc += 1;
             };
             for &(op, line) in &ops {
@@ -363,14 +410,23 @@ proptest! {
                 }
             }
             // Drain: long enough for every queued request to retire.
-            for _ in 0..4_000 {
+            // Probing along the way turns a late wake into a counter
+            // that moved at a different time, not just a final diff.
+            let mut probes = Vec::new();
+            for i in 1..=4_000 {
                 tick(&mut c, &mut cyc);
+                if i % 200 == 0 {
+                    probes.push((
+                        c.stats().clone(),
+                        c.fault_stats(),
+                        c.retention_stats().clone(),
+                        c.scrub_stats().clone(),
+                        c.queue_depths(),
+                        format!("{:?} {:?}", c.ledger().total_wear(), c.energy()),
+                    ));
+                }
             }
-            (
-                c.stats().clone(),
-                c.queue_depths(),
-                format!("{:?} {:?}", c.ledger().total_wear(), c.energy()),
-            )
+            probes
         };
         prop_assert_eq!(run(true), run(false));
     }
