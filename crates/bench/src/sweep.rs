@@ -160,7 +160,7 @@ impl From<StoreError> for SweepError {
 
 /// Builder for a parallel, optionally-cached batch of experiments.
 ///
-/// See the [module docs](self) for the full picture; the life of a
+/// See the [crate docs](crate) for the full picture; the life of a
 /// sweep is `Sweep::new(scale).cells(…)` plus any of:
 ///
 /// - [`threads`](Sweep::threads) — worker count (defaults to the

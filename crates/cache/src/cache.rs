@@ -124,45 +124,20 @@ pub struct CacheStats {
     pub input_rejects: u64,
 }
 
-impl mellow_engine::json::JsonField for CacheStats {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            demand_hits,
-            demand_misses,
-            fetches_down,
-            mshr_merges,
-            writebacks_in,
-            writebacks_out,
-            fills,
-            eager_issued,
-            eager_wasted,
-            eager_saved_writebacks,
-            mshr_stall_ticks,
-            input_rejects,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<CacheStats> {
-        mellow_engine::json_fields_from!(
-            v,
-            CacheStats {
-                demand_hits,
-                demand_misses,
-                fetches_down,
-                mshr_merges,
-                writebacks_in,
-                writebacks_out,
-                fills,
-                eager_issued,
-                eager_wasted,
-                eager_saved_writebacks,
-                mshr_stall_ticks,
-                input_rejects,
-            }
-        )
-    }
-}
+mellow_engine::impl_json_fields!(CacheStats {
+    demand_hits,
+    demand_misses,
+    fetches_down,
+    mshr_merges,
+    writebacks_in,
+    writebacks_out,
+    fills,
+    eager_issued,
+    eager_wasted,
+    eager_saved_writebacks,
+    mshr_stall_ticks,
+    input_rejects,
+});
 
 impl CacheStats {
     /// Demand accesses processed (hits + misses).

@@ -261,11 +261,10 @@ impl fmt::Display for Json {
 ///
 /// Implemented for the scalar types experiment metrics are built from;
 /// stats structs in other crates implement it for themselves (the trait
-/// lives here, the type there, so coherence is satisfied) and compose
-/// via the [`json_fields_to!`] / [`json_fields_from!`] macros.
+/// lives here, the type there, so coherence is satisfied) by listing
+/// their fields once in [`impl_json_fields!`].
 ///
-/// [`json_fields_to!`]: crate::json_fields_to
-/// [`json_fields_from!`]: crate::json_fields_from
+/// [`impl_json_fields!`]: crate::impl_json_fields
 pub trait JsonField: Sized {
     /// Converts to a JSON value.
     fn to_json(&self) -> Json;
@@ -354,29 +353,43 @@ impl<T: JsonField> JsonField for Vec<T> {
     }
 }
 
-/// Serializes the named fields of a struct value into a JSON object,
-/// using each field's [`JsonField`] impl.
+/// Implements [`JsonField`] for a struct from one list of its fields:
+/// `to_json` writes a JSON object with the fields in list order, and
+/// `from_json` rebuilds the struct, returning `None` if any field is
+/// missing or mistyped. `from_json` is a struct literal, so a list that
+/// misses a field does not compile.
+///
+/// ```
+/// use mellow_engine::json::JsonField;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct HitStats {
+///     hits: u64,
+///     ratio: f64,
+/// }
+/// mellow_engine::impl_json_fields!(HitStats { hits, ratio });
+///
+/// let s = HitStats { hits: 3, ratio: 0.5 };
+/// assert_eq!(s.to_json().to_string(), r#"{"hits":3,"ratio":0.5}"#);
+/// assert_eq!(HitStats::from_json(&s.to_json()), Some(s));
+/// ```
 #[macro_export]
-macro_rules! json_fields_to {
-    ($s:expr, $($f:ident),+ $(,)?) => {
-        $crate::json::Json::Obj(vec![
-            $((stringify!($f).to_owned(), $crate::json::JsonField::to_json(&$s.$f)),)+
-        ])
-    };
-}
+macro_rules! impl_json_fields {
+    ($t:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::json::JsonField for $t {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Obj(vec![
+                    $((stringify!($f).to_owned(), $crate::json::JsonField::to_json(&self.$f)),)+
+                ])
+            }
 
-/// Rebuilds a struct from a JSON object by the named fields, returning
-/// `None` if any field is missing or mistyped.
-#[macro_export]
-macro_rules! json_fields_from {
-    ($v:expr, $t:ident { $($f:ident),+ $(,)? }) => {{
-        let v = $v;
-        (|| {
-            Some($t {
-                $($f: $crate::json::JsonField::from_json(v.get(stringify!($f))?)?,)+
-            })
-        })()
-    }};
+            fn from_json(v: &$crate::json::Json) -> Option<$t> {
+                Some($t {
+                    $($f: $crate::json::JsonField::from_json(v.get(stringify!($f))?)?,)+
+                })
+            }
+        }
+    };
 }
 
 struct Parser<'a> {

@@ -37,7 +37,6 @@
 mod clock;
 mod horizon;
 pub mod json;
-mod queue;
 mod rng;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
@@ -47,7 +46,6 @@ mod timer;
 
 pub use clock::Clock;
 pub use horizon::HorizonQueue;
-pub use queue::BoundedQueue;
 pub use rng::DetRng;
 pub use time::{CoreCycles, Duration, MemCycles, SimTime};
 pub use timer::TimerQueue;

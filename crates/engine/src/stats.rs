@@ -195,23 +195,12 @@ impl Histogram {
     }
 }
 
-impl crate::json::JsonField for Histogram {
-    fn to_json(&self) -> crate::json::Json {
-        crate::json_fields_to!(self, buckets, count, sum, max)
-    }
-
-    fn from_json(v: &crate::json::Json) -> Option<Histogram> {
-        crate::json_fields_from!(
-            v,
-            Histogram {
-                buckets,
-                count,
-                sum,
-                max
-            }
-        )
-    }
-}
+crate::impl_json_fields!(Histogram {
+    buckets,
+    count,
+    sum,
+    max,
+});
 
 /// Computes the geometric mean of a set of strictly positive values.
 ///

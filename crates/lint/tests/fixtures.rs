@@ -225,6 +225,27 @@ fn l4_clean_fully_reported_stats_pass() {
 }
 
 #[test]
+fn l4_counts_the_json_field_list_as_one_report_site() {
+    // `impl_json_fields!` names each field once: it is the report site
+    // of a counter that is also incremented, and it alone does not keep
+    // a never-incremented field alive.
+    let src = "
+        pub struct FooStats { pub hits: u64, pub stale: u64 }
+        mellow_engine::impl_json_fields!(FooStats { hits, stale });
+        impl Foo {
+            fn record(&mut self) { self.stats.hits += 1; }
+        }
+    ";
+    let vs: Vec<String> = lint_source(SIM, src)
+        .into_iter()
+        .filter(|v| v.rule == Rule::StatsExhaustiveness)
+        .map(|v| v.message)
+        .collect();
+    assert_eq!(vs.len(), 1, "{vs:?}");
+    assert!(vs[0].contains("`FooStats.stale`"), "{vs:?}");
+}
+
+#[test]
 fn l4_ignores_non_stats_structs() {
     let src = "pub struct Config { pub depth: u64 }";
     assert!(!rules_fired(src).contains(&Rule::StatsExhaustiveness));

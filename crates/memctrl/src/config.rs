@@ -78,29 +78,9 @@ pub struct MemConfig {
     /// active only when retention is enabled *and* this is non-zero;
     /// each visit reads one block at the bank's scrub pointer during an
     /// idle-bank window and rewrites it if its drift deadline passed.
+    /// Foreground work (reads, demand and eager writes) always wins a
+    /// contended window.
     pub scrub_interval: Duration,
-    /// Arbitration between a due scrub visit and a queued eager write
-    /// contending for the same idle-bank window.
-    pub scrub_priority: ScrubPriority,
-    /// Base backoff a verify-failed repair rewrite waits before
-    /// re-entering its queue, doubling per consumed retry (so retry
-    /// storms spread across memory-clock edges instead of hammering
-    /// the same ones). `ZERO` retries immediately, like ordinary
-    /// verify-failed writes.
-    pub repair_backoff: Duration,
-}
-
-/// Who wins an idle-bank window when a due scrub visit and a queued
-/// eager write both want it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScrubPriority {
-    /// Eager writebacks keep their PR-era priority; the scrubber only
-    /// gets banks with no queued work at all (the default).
-    EagerFirst,
-    /// A due scrub visit preempts eager writebacks (demand writes still
-    /// win): retention repair is favored over wear-motivated early
-    /// writebacks.
-    ScrubFirst,
 }
 
 impl MemConfig {
@@ -132,8 +112,6 @@ impl MemConfig {
             fault: FaultConfig::disabled(),
             retention: RetentionConfig::disabled(),
             scrub_interval: Duration::from_us(100),
-            scrub_priority: ScrubPriority::EagerFirst,
-            repair_backoff: Duration::from_ns(20),
         }
     }
 

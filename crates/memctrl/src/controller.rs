@@ -1,9 +1,11 @@
-//! The resistive-memory controller: queues, bank state machines, write
-//! drains, write cancellation, and the Mellow Writes issue logic.
+//! The resistive-memory controller's scheduler: queues, bank state
+//! machines, the shared bus, write drains, write cancellation, and the
+//! Mellow Writes issue logic. Verify, drift detection and scrub live in
+//! the `reliability` module, which the scheduler calls into.
 
-use crate::config::ScrubPriority;
 use crate::queues::{QueuedReq, ReadPick, RequestQueues};
-use crate::{LineMapping, MemConfig};
+use crate::reliability::{Reliability, Verified};
+use crate::{FaultStats, LineMapping, MemConfig, RetentionStats, ScrubStats};
 use mellow_core::{
     decide_write, demand_speed, BankQueueView, WearQuota, WearQuotaConfig, WriteDecision,
     WritePolicy, WriteSpeed,
@@ -12,8 +14,8 @@ use mellow_engine::stats::{BusyTracker, Histogram};
 use mellow_engine::{Duration, MemCycles, SimTime, TimerQueue};
 use mellow_nvm::energy::EnergyAccount;
 use mellow_nvm::{
-    CancelWear, EnduranceModel, FaultState, LevelerStats, LifetimeModel, LifetimeProjection,
-    ReadVerify, RemapOutcome, RetentionState, WearLedger, WearLeveler, WriteVerify,
+    CancelWear, EnduranceModel, LevelerStats, LifetimeModel, LifetimeProjection, WearLedger,
+    WearLeveler,
 };
 use std::collections::VecDeque;
 
@@ -69,59 +71,27 @@ pub struct CtrlStats {
     pub read_latency_ns: Histogram,
 }
 
-impl mellow_engine::json::JsonField for CtrlStats {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            reads_accepted,
-            reads_forwarded,
-            reads_forwarded_in_flight,
-            read_rejects,
-            demand_writes_accepted,
-            write_rejects,
-            eager_writes_accepted,
-            rb_hit_reads,
-            rb_miss_reads,
-            writes_issued_normal,
-            writes_issued_slow,
-            writes_completed_normal,
-            writes_completed_slow,
-            eager_completed,
-            writes_cancelled,
-            writes_paused,
-            pre_pulse_cancels,
-            write_drains,
-            read_latency_ns,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<CtrlStats> {
-        mellow_engine::json_fields_from!(
-            v,
-            CtrlStats {
-                reads_accepted,
-                reads_forwarded,
-                reads_forwarded_in_flight,
-                read_rejects,
-                demand_writes_accepted,
-                write_rejects,
-                eager_writes_accepted,
-                rb_hit_reads,
-                rb_miss_reads,
-                writes_issued_normal,
-                writes_issued_slow,
-                writes_completed_normal,
-                writes_completed_slow,
-                eager_completed,
-                writes_cancelled,
-                writes_paused,
-                pre_pulse_cancels,
-                write_drains,
-                read_latency_ns,
-            }
-        )
-    }
-}
+mellow_engine::impl_json_fields!(CtrlStats {
+    reads_accepted,
+    reads_forwarded,
+    reads_forwarded_in_flight,
+    read_rejects,
+    demand_writes_accepted,
+    write_rejects,
+    eager_writes_accepted,
+    rb_hit_reads,
+    rb_miss_reads,
+    writes_issued_normal,
+    writes_issued_slow,
+    writes_completed_normal,
+    writes_completed_slow,
+    eager_completed,
+    writes_cancelled,
+    writes_paused,
+    pre_pulse_cancels,
+    write_drains,
+    read_latency_ns,
+});
 
 impl CtrlStats {
     /// Total requests issued to banks (Fig. 15's metric): reads plus
@@ -130,150 +100,6 @@ impl CtrlStats {
         self.rb_hit_reads + self.rb_miss_reads + self.writes_issued_normal + self.writes_issued_slow
     }
 }
-
-/// Counters for the fault layer's write-verify → retry → remap path.
-///
-/// `spares_remaining` is a gauge (the current unallocated spare-pool
-/// size, summed over banks); the other fields are monotone counters.
-/// Every verify failure is resolved exactly one way, so
-/// `verify_failures == retries + remaps + uncorrectable` at any drain
-/// point.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultStats {
-    /// Write completions whose verify step failed (stuck-at block,
-    /// endurance exhaustion, or a transient fault).
-    pub verify_failures: u64,
-    /// Failed writes re-queued for another attempt within the
-    /// [`MemConfig::max_write_retries`] budget.
-    pub retries: u64,
-    /// Blocks remapped to a per-bank spare after exhausting their retry
-    /// budget.
-    pub remaps: u64,
-    /// Spare blocks still unallocated, summed over banks.
-    pub spares_remaining: u64,
-    /// Writes dropped with data loss: the retry budget and the bank's
-    /// spare pool were both exhausted.
-    pub uncorrectable: u64,
-}
-
-impl mellow_engine::json::JsonField for FaultStats {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            verify_failures,
-            retries,
-            remaps,
-            spares_remaining,
-            uncorrectable,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<FaultStats> {
-        mellow_engine::json_fields_from!(
-            v,
-            FaultStats {
-                verify_failures,
-                retries,
-                remaps,
-                spares_remaining,
-                uncorrectable,
-            }
-        )
-    }
-}
-
-/// Counters for the retention layer's detect → repair → degrade path.
-///
-/// Every detected drift failure — a demand read or a scrub visit
-/// finding a block past its deadline — is resolved exactly one way:
-/// repaired by a rewrite, or declared uncorrectable once the retry
-/// budget and spare pool both run out. So at any drain point
-/// `demand_verify_failures + ScrubStats::scrub_rewrites == repairs +
-/// retention_uncorrectable` (the retention analogue of the fault
-/// layer's resolution invariant).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RetentionStats {
-    /// Demand reads that found their block past its drift deadline
-    /// (served through ECC; a repair rewrite was enqueued).
-    pub demand_verify_failures: u64,
-    /// Repair rewrites that completed with a clean verify, restamping
-    /// the block's drift clock (from either detection path).
-    pub repairs: u64,
-    /// Detected drift failures whose repair could not be completed:
-    /// the rewrite kept failing verify and the remap path found no
-    /// spare, so the block's data is lost and capacity shrinks —
-    /// exactly the fault layer's `uncorrectable` ending, never a
-    /// silent loss.
-    pub retention_uncorrectable: u64,
-}
-
-impl mellow_engine::json::JsonField for RetentionStats {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            demand_verify_failures,
-            repairs,
-            retention_uncorrectable,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<RetentionStats> {
-        mellow_engine::json_fields_from!(
-            v,
-            RetentionStats {
-                demand_verify_failures,
-                repairs,
-                retention_uncorrectable,
-            }
-        )
-    }
-}
-
-/// Background scrub engine activity counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScrubStats {
-    /// Blocks the scrubber visited (one verify read each).
-    pub scrub_reads: u64,
-    /// Scrub visits that found the block past its drift deadline and
-    /// enqueued a repair rewrite (the scrub-detected failures of the
-    /// retention resolution invariant).
-    pub scrub_rewrites: u64,
-    /// Idle-bank windows a due scrub visit lost to foreground work
-    /// (a read, demand write, or — under
-    /// [`ScrubPriority::EagerFirst`] — an eager write).
-    pub scrub_bank_conflicts: u64,
-}
-
-impl mellow_engine::json::JsonField for ScrubStats {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(self, scrub_reads, scrub_rewrites, scrub_bank_conflicts,)
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<ScrubStats> {
-        mellow_engine::json_fields_from!(
-            v,
-            ScrubStats {
-                scrub_reads,
-                scrub_rewrites,
-                scrub_bank_conflicts,
-            }
-        )
-    }
-}
-
-// The one shared fold for the controller's counter blocks: saturating
-// adds for monotone counters, minimum for the shrinking spare-pool
-// gauge (see `mellow_nvm::SaturatingMerge`).
-mellow_nvm::impl_saturating_merge!(FaultStats {
-    counters: [verify_failures, retries, remaps, uncorrectable],
-    gauges_min: [spares_remaining],
-});
-mellow_nvm::impl_saturating_merge!(RetentionStats {
-    counters: [demand_verify_failures, repairs, retention_uncorrectable],
-});
-mellow_nvm::impl_saturating_merge!(ScrubStats {
-    counters: [scrub_reads, scrub_rewrites, scrub_bank_conflicts],
-});
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
@@ -306,6 +132,21 @@ struct InFlight {
     /// When the write pulse begins (after the bus transfer).
     pulse_start: SimTime,
     end: SimTime,
+}
+
+impl InFlight {
+    /// The queue entry that drives this write again, keeping its age,
+    /// verify-retry count and repair flag.
+    fn requeue(&self, data_resident: bool, cancels: u32, remaining: f64) -> QueuedReq {
+        QueuedReq {
+            data_resident,
+            cancels,
+            remaining,
+            retries: self.retries,
+            repair: self.repair,
+            ..QueuedReq::new(self.line, self.mapping, self.enq)
+        }
+    }
 }
 
 /// Per-bank state in struct-of-arrays layout: the hot loops
@@ -421,28 +262,8 @@ pub struct Controller {
     drain_tracker: BusyTracker,
     energy: EnergyAccount,
     stats: CtrlStats,
-    /// Fault-injection state; `None` whenever `cfg.fault.enabled` is
-    /// false, so a disabled controller runs zero fault branches and
-    /// draws no fault randomness (the additivity guarantee).
-    faults: Option<FaultState>,
-    fault_stats: FaultStats,
-    /// Retention-drift state; `None` whenever `cfg.retention.enabled`
-    /// is false, so a disabled controller runs zero retention branches
-    /// and draws no drift randomness (the same additivity guarantee as
-    /// the fault layer).
-    retention: Option<RetentionState>,
-    retention_stats: RetentionStats,
-    scrub_stats: ScrubStats,
-    /// Per-bank scrub cursor: the next logical block the background
-    /// scrubber will verify-read at that bank.
-    scrub_ptr: Vec<u64>,
-    /// Per-bank earliest time the next scrub visit is due; the visit
-    /// itself waits for an idle-bank window (see [`Self::issue`]).
-    next_scrub_at: Vec<SimTime>,
-    /// Repair rewrites waiting out their verify-retry backoff, with
-    /// their release times (see [`MemConfig::repair_backoff`]). Few
-    /// entries, FIFO per release time; scanned in insertion order.
-    deferred_repairs: VecDeque<(SimTime, QueuedReq)>,
+    /// Fault, drift and scrub state, and the failed-verify policy.
+    reliability: Reliability,
     next_serial: u64,
     rr_start: usize,
     /// No tick strictly before this time can act (see
@@ -483,26 +304,7 @@ impl Controller {
         });
         let sample_period = cfg.sample_period;
         let leveler = cfg.leveler.build(banks, cfg.blocks_per_bank());
-        // The fault layer covers the leveler's whole physical space
-        // (e.g. Start-Gap's gap spare) and owns only the spares the
-        // leveler delegates (zero for pool-owning levelers).
-        let faults = cfg.fault.enabled.then(|| {
-            FaultState::new(
-                cfg.fault,
-                &endurance,
-                banks,
-                leveler.physical_blocks_per_bank(),
-                leveler.fault_pool_spares(),
-            )
-        });
-        // The drift clock is keyed by *logical* block: leveling moves
-        // the data but conservatively keeps the old deadline (the cells
-        // under it changed, but a fresh stamp would optimistically
-        // extend retention without a write having happened).
-        let retention = cfg
-            .retention
-            .enabled
-            .then(|| RetentionState::new(cfg.retention, banks, cfg.blocks_per_bank()));
+        let reliability = Reliability::new(&cfg, endurance, &*leveler);
         Controller {
             queues: RequestQueues::new(banks),
             banks: Banks::new(banks),
@@ -520,14 +322,7 @@ impl Controller {
             drain_tracker: BusyTracker::new(),
             energy: EnergyAccount::default(),
             stats: CtrlStats::default(),
-            faults,
-            fault_stats: FaultStats::default(),
-            retention,
-            retention_stats: RetentionStats::default(),
-            scrub_stats: ScrubStats::default(),
-            scrub_ptr: vec![0; banks],
-            next_scrub_at: vec![SimTime::ZERO + cfg.scrub_interval; banks],
-            deferred_repairs: VecDeque::new(),
+            reliability,
             next_serial: 0,
             rr_start: 0,
             next_actionable: SimTime::ZERO,
@@ -594,7 +389,7 @@ impl Controller {
     fn has_pending_write(&self, line: u64, bank: usize) -> bool {
         self.queues.has_queued_write(line, bank)
             || self.write_in_flight_at(line, bank)
-            || self.deferred_repairs.iter().any(|(_, r)| r.line == line)
+            || self.reliability.is_parked(line)
     }
 
     /// Offers a read for `line`. Returns `false` when the read queue is
@@ -605,7 +400,8 @@ impl Controller {
     /// queue and could cancel the very write holding the only copy of
     /// its data.)
     pub fn try_read(&mut self, line: u64, now: SimTime) -> bool {
-        let bank = self.cfg.map_line(line).bank;
+        let mapping = self.cfg.map_line(line);
+        let bank = mapping.bank;
         if self.has_pending_write(line, bank) {
             // Forward from the pending write: data returns after the
             // column + bus latency without disturbing the banks.
@@ -626,18 +422,7 @@ impl Controller {
             self.stats.read_rejects += 1;
             return false;
         }
-        let mapping = self.cfg.map_line(line);
-        self.queues.push_read(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        });
+        self.queues.push_read(QueuedReq::new(line, mapping, now));
         self.stats.reads_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         self.raise_dirty("try_read");
@@ -651,18 +436,8 @@ impl Controller {
             self.stats.write_rejects += 1;
             return false;
         }
-        let mapping = self.cfg.map_line(line);
-        self.queues.push_write(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        });
+        self.queues
+            .push_write(QueuedReq::new(line, self.cfg.map_line(line), now));
         self.stats.demand_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         self.raise_dirty("try_write");
@@ -684,18 +459,8 @@ impl Controller {
     /// has already marked the line clean by the time it calls this.
     pub fn try_eager(&mut self, line: u64, now: SimTime) {
         assert!(self.eager_has_room(), "eager queue overflow");
-        let mapping = self.cfg.map_line(line);
-        self.queues.push_eager(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        });
+        self.queues
+            .push_eager(QueuedReq::new(line, self.cfg.map_line(line), now));
         self.stats.eager_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         self.raise_dirty("try_eager");
@@ -805,7 +570,7 @@ impl Controller {
     /// the controller through this.
     pub fn tick_full(&mut self, now: SimTime) {
         self.drain_forwarded(now);
-        self.release_deferred_repairs(now);
+        self.reliability.release_parked(now, &mut self.queues);
         self.process_completions(now);
         self.roll_periods(now);
         self.update_drain_state(now);
@@ -821,8 +586,8 @@ impl Controller {
     /// Exactness: every event that could make an earlier tick act either
     /// (a) is scheduled and included in the minimum below — completions,
     /// pending forwarded reads, quota period boundaries, busy banks with
-    /// issueable work, due-or-busy scrub visits, deferred repair
-    /// releases; (b) arrives through `try_read`/`try_write`/
+    /// issueable work, the reliability pipeline's scrub visits and parked
+    /// repair releases ([`Reliability::next_due`]); (b) arrives through `try_read`/`try_write`/
     /// `try_eager`, each of which resets `next_actionable` to `ZERO`; or
     /// (c) is due immediately, in which case `ZERO` is returned — a
     /// pending drain transition, a tFAW-blocked activation, a free bank
@@ -856,24 +621,7 @@ impl Controller {
         if self.quota.is_some() {
             next = next.min(self.next_period_at);
         }
-        // Deferred repairs release at their recorded times; entries are
-        // always parked in the future (backoff is non-zero whenever the
-        // deferral path runs), so no ZERO case arises here.
-        for &(t, _) in &self.deferred_repairs {
-            next = next.min(t);
-        }
-        if self.scrub_active() {
-            // A scrub visit happens at the later of its due time and
-            // the bank falling idle. `issue` has already run this tick:
-            // a due visit either happened (pushing `next_scrub_at` past
-            // `now`) or lost its bank to foreground work (leaving the
-            // bank busy), so the maximum below is strictly future —
-            // except under tFAW blocking, which already returned ZERO.
-            for bank_idx in 0..self.banks.len() {
-                let t = self.next_scrub_at[bank_idx].max(self.banks.busy_until[bank_idx]);
-                next = next.min(t);
-            }
-        }
+        next = next.min(self.reliability.next_due(&self.banks.busy_until));
         for bank_idx in 0..self.banks.len() {
             // `decide_write` is non-idle exactly when a write is queued
             // or an eager write is queued with no read ahead of it;
@@ -923,7 +671,11 @@ impl Controller {
                     self.stats
                         .read_latency_ns
                         .record(op.end.saturating_since(op.enq).as_ns());
-                    self.check_read_retention(c.bank, &op);
+                    // The data itself is recovered through ECC; what
+                    // must be repaired is the array copy.
+                    if self.repair_if_expired(op.line, c.bank, op.mapping.block, op.end) {
+                        self.reliability.demand_detected();
+                    }
                 }
                 OpKind::DemandWrite | OpKind::EagerWrite => {
                     self.complete_write(c.bank, op);
@@ -933,27 +685,11 @@ impl Controller {
     }
 
     fn complete_write(&mut self, bank_idx: usize, op: InFlight) {
-        if self.faults.is_some() && !self.verify_write(bank_idx, &op) {
-            return;
-        }
+        // The pulse drove the cells whether or not it verifies: wear and
+        // energy accrue before the verify step.
         let factor = op.factor;
         let phys = self.leveler.remap(bank_idx, op.mapping.block);
         self.ledger.record_write(bank_idx, Some(phys), factor);
-        let mut moved = Vec::new();
-        self.leveler
-            .note_write(bank_idx, op.mapping.block, &mut moved);
-        for m in moved {
-            self.ledger.record_leveling_write(bank_idx, Some(m));
-        }
-        // Every verified write restamps the block's drift clock: slow
-        // pulses widen the deadline, a worn block narrows it.
-        if let Some(r) = &mut self.retention {
-            let worn = self
-                .faults
-                .as_ref()
-                .map_or(0.0, |f| f.wear_fraction(bank_idx, phys));
-            r.record_write(bank_idx, op.mapping.block, op.end, factor, worn);
-        }
         // Graded factors between 1x and 3x are charged slow-write
         // energy (a conservative overestimate; Table VI only
         // characterizes the two paper speeds).
@@ -962,175 +698,57 @@ impl Controller {
         } else {
             self.energy.add_normal_write();
         }
-        if op.repair {
-            // Repair rewrites refresh data the host already owns: they
-            // drive the cells (wear, energy, leveling above) but count
-            // as repairs, not demand/eager completions.
-            self.retention_stats.repairs += 1;
-        } else if factor > 1.0 {
-            self.stats.writes_completed_slow += 1;
-        } else {
-            self.stats.writes_completed_normal += 1;
+        // A retry's data is still latched at the bank, so it skips the
+        // bus transfer, and the write stays pending — reads keep
+        // forwarding from it.
+        let retry = op.requeue(true, op.cancels, 1.0);
+        match self.reliability.verify_write(
+            retry,
+            op.mapping.block,
+            phys,
+            factor,
+            op.end,
+            &mut *self.leveler,
+        ) {
+            Verified::Clean => {}
+            Verified::Retry(req) => {
+                // No completion counter and no leveling progress: the
+                // data never landed, so there is nothing leveled to
+                // rotate.
+                self.queues
+                    .requeue_front(req, op.kind == OpKind::EagerWrite);
+                return;
+            }
+            Verified::Absorbed => return,
+        }
+        let mut moved = Vec::new();
+        self.leveler
+            .note_write(bank_idx, op.mapping.block, &mut moved);
+        for m in moved {
+            self.ledger.record_leveling_write(bank_idx, Some(m));
+        }
+        self.reliability
+            .restamp(bank_idx, op.mapping.block, phys, op.end, factor, op.repair);
+        // Repair rewrites refresh data the host already owns: they drive
+        // the cells (wear, energy, leveling above) but count as repairs
+        // (in `restamp`), not demand/eager completions.
+        if !op.repair {
+            if factor > 1.0 {
+                self.stats.writes_completed_slow += 1;
+            } else {
+                self.stats.writes_completed_normal += 1;
+            }
         }
         if op.kind == OpKind::EagerWrite {
             self.stats.eager_completed += 1;
         }
     }
 
-    /// Runs the fault layer's verify step for a completing write pulse.
-    /// Returns `true` when the write verified clean and should complete
-    /// normally. A failed pulse still drove the cells, so its wear and
-    /// energy are charged here; the write is then retried (within the
-    /// [`MemConfig::max_write_retries`] budget), remapped to a spare
-    /// block, or — with the spare pool exhausted — dropped as an
-    /// uncorrectable loss.
-    fn verify_write(&mut self, bank_idx: usize, op: &InFlight) -> bool {
-        let phys = self.leveler.remap(bank_idx, op.mapping.block);
-        let wear = self.endurance.wear_per_write(op.factor);
-        let verdict = self
-            .faults
-            .as_mut()
-            .expect("verify_write requires fault state")
-            .verify_write(bank_idx, phys, wear);
-        if verdict == WriteVerify::Ok {
-            return true;
-        }
-        self.fault_stats.verify_failures += 1;
-        // The pulse physically happened: wear and energy accrue, but no
-        // completion counter and no Start-Gap progress (the data never
-        // landed, so there is nothing leveled to rotate).
-        self.ledger.record_write(bank_idx, Some(phys), op.factor);
-        if op.factor > 1.0 {
-            self.energy.add_slow_write();
-        } else {
-            self.energy.add_normal_write();
-        }
-        match verdict {
-            WriteVerify::Ok => unreachable!("handled above"),
-            WriteVerify::Lost => self.drop_lost_write(op),
-            WriteVerify::Failed => {
-                if op.retries < self.cfg.max_write_retries {
-                    self.fault_stats.retries += 1;
-                    if op.repair && self.cfg.repair_backoff > Duration::ZERO {
-                        // Repair retries back off across mem-clock
-                        // edges instead of re-queuing immediately: the
-                        // data is safe in the controller, and spacing
-                        // the attempts keeps a failing block from
-                        // monopolizing its bank.
-                        self.defer_repair_retry(bank_idx, op, op.retries + 1);
-                    } else {
-                        self.requeue_failed(bank_idx, op, op.retries + 1);
-                    }
-                } else {
-                    // Retry budget spent: ask the leveler first — a
-                    // pool-owning leveler (WoLFRaM) rewires the logical
-                    // block itself; others delegate to the fault
-                    // layer's per-bank spare pool.
-                    match self.leveler.remap_faulty(bank_idx, op.mapping.block) {
-                        RemapOutcome::Remapped => {
-                            // A fresh spare: the retry budget starts over.
-                            self.fault_stats.remaps += 1;
-                            self.requeue_failed(bank_idx, op, 0);
-                        }
-                        RemapOutcome::Delegate => {
-                            if self
-                                .faults
-                                .as_mut()
-                                .expect("verify_write requires fault state")
-                                .remap(bank_idx, phys)
-                            {
-                                self.fault_stats.remaps += 1;
-                                self.requeue_failed(bank_idx, op, 0);
-                            } else {
-                                self.drop_lost_write(op);
-                            }
-                        }
-                        RemapOutcome::Exhausted => {
-                            // The leveler's pool is empty; the fault
-                            // layer holds zero spares for pool-owning
-                            // levelers, so this marks the block lost.
-                            let _ = self
-                                .faults
-                                .as_mut()
-                                .expect("verify_write requires fault state")
-                                .remap(bank_idx, phys);
-                            self.drop_lost_write(op);
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Re-queues a verify-failed write at the front of its queue (age
-    /// priority preserved, like a cancel). The data is still latched at
-    /// the bank, so the retry skips the bus transfer, and the write
-    /// stays pending — reads keep forwarding from it.
-    fn requeue_failed(&mut self, bank_idx: usize, op: &InFlight, retries: u32) {
-        let req = QueuedReq {
-            line: op.line,
-            bank: bank_idx,
-            row: op.mapping.row,
-            enq: op.enq,
-            data_resident: true,
-            cancels: op.cancels,
-            remaining: 1.0,
-            retries,
-            repair: op.repair,
-        };
-        self.queues
-            .requeue_front(req, op.kind == OpKind::EagerWrite);
-    }
-
-    /// Drops a write whose data cannot be preserved (stuck block with no
-    /// spares left): counts the loss. The write is not re-queued, so it
-    /// stops being pending and later reads of its line go to the array.
-    fn drop_lost_write(&mut self, op: &InFlight) {
-        self.fault_stats.uncorrectable += 1;
-        if op.repair {
-            // A lost repair ends a detected drift failure the hard way:
-            // the retention invariant's uncorrectable arm. Capacity
-            // shrinks through the fault layer's lost-block accounting,
-            // never silently.
-            self.retention_stats.retention_uncorrectable += 1;
-        }
-        if let Some(r) = &mut self.retention {
-            // The data is gone; there is nothing left to scrub, so the
-            // block's drift clock is retired until a future write
-            // restamps it.
-            r.forget(op.mapping.bank, op.mapping.block);
-        }
-    }
-
-    /// Whether the background scrubber runs at all: retention must be
-    /// enabled and the scrub interval non-zero. (Retention without a
-    /// scrubber still detects drift on demand reads.)
-    fn scrub_active(&self) -> bool {
-        self.retention.is_some() && self.cfg.scrub_interval > Duration::ZERO
-    }
-
-    /// Whether a scrub visit is due at `bank_idx` (it still has to win
-    /// an idle-bank window in [`issue`](Self::issue)).
-    fn scrub_due(&self, bank_idx: usize, now: SimTime) -> bool {
-        self.scrub_active() && now >= self.next_scrub_at[bank_idx]
-    }
-
-    /// The raw line address of logical `block` at `bank_idx` (the
-    /// inverse of [`MemConfig::map_line`]'s bank-interleaved split).
-    fn line_for(&self, bank_idx: usize, block: u64) -> u64 {
-        block * self.cfg.num_banks as u64 + bank_idx as u64
-    }
-
     /// One background scrub visit: verify-read the block under the
-    /// bank's scrub cursor, advance the cursor, and enqueue a repair
-    /// rewrite when the block is past its drift deadline.
+    /// bank's scrub cursor and enqueue a repair rewrite when the block
+    /// is past its drift deadline.
     fn scrub_visit(&mut self, bank_idx: usize, now: SimTime) {
-        let blocks = self.cfg.blocks_per_bank();
-        let block = self.scrub_ptr[bank_idx] % blocks;
-        self.scrub_ptr[bank_idx] = (block + 1) % blocks;
-        self.next_scrub_at[bank_idx] = now + self.cfg.scrub_interval;
-        self.scrub_stats.scrub_reads += 1;
+        let block = self.reliability.start_scrub(bank_idx, now);
         // The verify read drives the array like a row-miss read but
         // stays internal to the bank: no bus transfer, and the sense
         // amps are used directly, leaving the open row undisturbed.
@@ -1138,92 +756,31 @@ impl Controller {
         self.banks.busy_time[bank_idx] += end.saturating_since(now);
         self.banks.busy_until[bank_idx] = end;
         self.energy.add_buffer_read();
-        let line = self.line_for(bank_idx, block);
-        // A line with a pending write needs no repair: that write will
-        // restamp the drift clock when it lands.
-        let expired = !self.has_pending_write(line, bank_idx)
-            && self
-                .retention
-                .as_ref()
-                .is_some_and(|r| r.verify_read(bank_idx, block, now) == ReadVerify::Failed);
-        if expired {
-            self.scrub_stats.scrub_rewrites += 1;
-            self.enqueue_repair(line, now);
+        // The inverse of `MemConfig::map_line`'s bank-interleaved split.
+        let line = block * self.cfg.num_banks as u64 + bank_idx as u64;
+        if self.repair_if_expired(line, bank_idx, block, now) {
+            self.reliability.scrub_detected();
         }
     }
 
-    /// After a demand read returns, checks its block's drift deadline
-    /// and enqueues a repair rewrite on failure (the data itself is
-    /// recovered through ECC; what must be repaired is the array copy).
-    fn check_read_retention(&mut self, bank_idx: usize, op: &InFlight) {
-        let expired = self.retention.as_ref().is_some_and(|r| {
-            r.verify_read(bank_idx, op.mapping.block, op.end) == ReadVerify::Failed
-        });
-        if !expired || self.has_pending_write(op.line, bank_idx) {
-            // Clean, or a pending write will restamp the block anyway
-            // (and scrub may already have enqueued the repair).
-            return;
-        }
-        self.retention_stats.demand_verify_failures += 1;
-        self.enqueue_repair(op.line, op.end);
-    }
-
-    /// Enqueues a retention-repair rewrite for `line` on the demand
-    /// write queue. The corrected data is already latched at the
-    /// controller (scrub verify read or demand read return), so the
+    /// After an array read of `line` (logical `block` at `bank`; a demand
+    /// read returning or a scrub verify read) at `at`: enqueues a
+    /// retention-repair rewrite on the demand write queue when the block
+    /// is past its drift deadline. Returns whether it did. A line with a
+    /// pending write needs no repair: that write restamps the drift
+    /// clock when it lands (and scrub may already have enqueued the
+    /// repair). The corrected data is latched at the controller, so the
     /// rewrite skips the bus transfer.
-    fn enqueue_repair(&mut self, line: u64, now: SimTime) {
-        let mapping = self.cfg.map_line(line);
+    fn repair_if_expired(&mut self, line: u64, bank: usize, block: u64, at: SimTime) -> bool {
+        if !self.reliability.expired(bank, block, at) || self.has_pending_write(line, bank) {
+            return false;
+        }
         self.queues.push_write(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
             data_resident: true,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
             repair: true,
+            ..QueuedReq::new(line, self.cfg.map_line(line), at)
         });
-    }
-
-    /// Parks a verify-failed repair rewrite until its backoff elapses:
-    /// the wait doubles with each consumed retry.
-    fn defer_repair_retry(&mut self, bank_idx: usize, op: &InFlight, retries: u32) {
-        let doublings = (retries - 1).min(16);
-        let wait = self.cfg.repair_backoff.scale((1u64 << doublings) as f64);
-        let req = QueuedReq {
-            line: op.line,
-            bank: bank_idx,
-            row: op.mapping.row,
-            enq: op.enq,
-            data_resident: true,
-            cancels: op.cancels,
-            remaining: 1.0,
-            retries,
-            repair: true,
-        };
-        self.deferred_repairs.push_back((op.end + wait, req));
-    }
-
-    /// Releases deferred repair retries whose backoff has elapsed back
-    /// to the front of the write queue (age priority, like any retry).
-    fn release_deferred_repairs(&mut self, now: SimTime) {
-        if self.deferred_repairs.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.deferred_repairs.len() {
-            if self.deferred_repairs[i].0 <= now {
-                let (_, req) = self
-                    .deferred_repairs
-                    .remove(i)
-                    .expect("index checked in range");
-                self.queues.requeue_front(req, false);
-            } else {
-                i += 1;
-            }
-        }
+        true
     }
 
     fn roll_periods(&mut self, now: SimTime) {
@@ -1315,19 +872,10 @@ impl Controller {
                     self.bus_free_at = now;
                 }
             }
-            let req = QueuedReq {
-                line: op.line,
-                bank: bank_idx,
-                row: op.mapping.row,
-                enq: op.enq,
-                data_resident: in_pulse,
-                cancels: op.cancels + 1,
-                remaining,
-                retries: op.retries,
-                repair: op.repair,
-            };
-            self.queues
-                .requeue_front(req, op.kind == OpKind::EagerWrite);
+            self.queues.requeue_front(
+                op.requeue(in_pulse, op.cancels + 1, remaining),
+                op.kind == OpKind::EagerWrite,
+            );
         }
     }
 
@@ -1355,70 +903,61 @@ impl Controller {
             if now < self.banks.busy_until[bank_idx] {
                 continue;
             }
-            let scrub_due = self.scrub_due(bank_idx, now);
-            if self.draining {
-                if self.queues.writes_at(bank_idx) > 0 {
-                    let view = self.bank_view(bank_idx);
-                    let speed = demand_speed(&self.policy, view);
+            // Whether foreground work takes this idle-bank window; a due
+            // scrub visit gets only the windows it leaves.
+            let took_bank = if self.draining {
+                // Reads are blocked while draining, and a drain only
+                // commits banks with queued writes.
+                let queued = self.queues.writes_at(bank_idx) > 0;
+                if queued {
+                    let speed = demand_speed(&self.policy, self.bank_view(bank_idx));
                     let req = self
                         .queues
                         .take_write(bank_idx)
                         .expect("occupancy implies a queued write");
                     self.issue_write(bank_idx, req, speed, OpKind::DemandWrite, now);
-                    if scrub_due {
-                        self.scrub_stats.scrub_bank_conflicts += 1;
-                    }
-                } else if scrub_due {
-                    // A drain only commits banks with queued writes;
-                    // this one is idle, so the scrubber may use it.
-                    self.scrub_visit(bank_idx, now);
                 }
-                continue; // reads are blocked while draining
-            }
-            // Reads have priority: row-buffer hit first, then oldest.
-            if let Some((req, pick)) = self
+                queued
+            } else if let Some((req, pick)) = self
                 .queues
                 .pick_read(bank_idx, self.banks.open_row[bank_idx])
             {
+                // Reads have priority: row-buffer hit first, then oldest.
                 if !self.issue_read(bank_idx, req, pick, now) {
-                    tfaw_blocked = true; // retry next cycle
-                } else if scrub_due {
-                    self.scrub_stats.scrub_bank_conflicts += 1;
+                    // Retry next cycle; the window is neither used nor
+                    // lost, so a due scrub visit waits too.
+                    tfaw_blocked = true;
+                    continue;
                 }
-                continue;
-            }
-            let view = self.bank_view(bank_idx);
-            match decide_write(&self.policy, view) {
-                WriteDecision::Demand(speed) => {
-                    let req = self
-                        .queues
-                        .take_write(bank_idx)
-                        .expect("decision implies a queued write");
-                    self.issue_write(bank_idx, req, speed, OpKind::DemandWrite, now);
-                    if scrub_due {
-                        self.scrub_stats.scrub_bank_conflicts += 1;
+                true
+            } else {
+                // Eager writes, like demand writes, win the window over
+                // a due scrub visit.
+                match decide_write(&self.policy, self.bank_view(bank_idx)) {
+                    WriteDecision::Demand(speed) => {
+                        let req = self
+                            .queues
+                            .take_write(bank_idx)
+                            .expect("decision implies a queued write");
+                        self.issue_write(bank_idx, req, speed, OpKind::DemandWrite, now);
+                        true
                     }
-                }
-                WriteDecision::Eager(speed) => {
-                    // The one configurable arbitration: eager writes
-                    // and scrub visits both live off idle-bank windows.
-                    if scrub_due && self.cfg.scrub_priority == ScrubPriority::ScrubFirst {
-                        self.scrub_visit(bank_idx, now);
-                    } else {
+                    WriteDecision::Eager(speed) => {
                         let req = self
                             .queues
                             .take_eager(bank_idx)
                             .expect("decision implies a queued eager write");
                         self.issue_write(bank_idx, req, speed, OpKind::EagerWrite, now);
-                        if scrub_due {
-                            self.scrub_stats.scrub_bank_conflicts += 1;
-                        }
+                        true
                     }
+                    WriteDecision::Idle => false,
                 }
-                WriteDecision::Idle => {
-                    if scrub_due {
-                        self.scrub_visit(bank_idx, now);
-                    }
+            };
+            if self.reliability.scrub_due(bank_idx, now) {
+                if took_bank {
+                    self.reliability.scrub_lost_window();
+                } else {
+                    self.scrub_visit(bank_idx, now);
                 }
             }
         }
@@ -1604,27 +1143,18 @@ impl Controller {
     /// (untouched) spare pool, so a disabled controller serializes
     /// identically to an enabled one whose fault knobs are all zero.
     pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.fault_stats.clone();
-        s.spares_remaining = match self.leveler.spare_pool() {
-            // A pool-owning leveler (WoLFRaM) tracks its own spares.
-            Some(remaining) => remaining,
-            None => match &self.faults {
-                Some(f) => f.total_spares_remaining(),
-                None => self.cfg.num_banks as u64 * self.leveler.fault_pool_spares(),
-            },
-        };
-        s
+        self.reliability.fault_stats(&*self.leveler)
     }
 
     /// Returns the retention-repair counters (see [`RetentionStats`] for
     /// the resolution invariant they satisfy).
     pub fn retention_stats(&self) -> &RetentionStats {
-        &self.retention_stats
+        self.reliability.retention_stats()
     }
 
     /// Returns the background scrub engine's counters.
     pub fn scrub_stats(&self) -> &ScrubStats {
-        &self.scrub_stats
+        self.reliability.scrub_stats()
     }
 
     /// The active wear-leveling scheme's short name.
@@ -1648,12 +1178,12 @@ impl Controller {
     /// Fraction of physical blocks still usable: 1.0 until spare
     /// exhaustion starts declaring blocks lost.
     pub fn usable_capacity_fraction(&self) -> f64 {
-        self.faults.as_ref().map_or(1.0, |f| f.usable_fraction())
+        self.reliability.usable_fraction()
     }
 
     /// Blocks declared lost after their bank's spare pool ran dry.
     pub fn lost_blocks(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.lost_blocks())
+        self.reliability.lost_blocks()
     }
 
     /// Projects the years until the usable-capacity fraction drops below
@@ -1700,14 +1230,11 @@ impl Controller {
     pub fn reset_stats(&mut self, now: SimTime) {
         self.stats = CtrlStats::default();
         self.energy = EnergyAccount::default();
-        // Fault *counters* reset with the measurement window; the fault
-        // *state* (wear limits, stuck blocks, consumed spares) is device
-        // state and persists, like the Start-Gap registers.
-        self.fault_stats = FaultStats::default();
-        // Same split for retention: counters reset, while the drift
-        // table, scrub cursors, and parked repair retries persist.
-        self.retention_stats = RetentionStats::default();
-        self.scrub_stats = ScrubStats::default();
+        // Reliability *counters* reset with the measurement window; its
+        // *state* (wear limits, stuck blocks, consumed spares, the drift
+        // table, scrub cursors, parked repairs) is device state and
+        // persists, like the Start-Gap registers.
+        self.reliability.reset_stats();
         // Leveler registers/tables persist as device state; snapshot
         // the counters so reported stats cover the new window.
         self.leveler_base = self.leveler.stats();
@@ -1948,12 +1475,11 @@ mod tests {
     /// The `retention_cfg` controller with one retry, one spare per bank
     /// and cells that endure two writes, so every repair rewrite to an
     /// already-written block fails verify.
-    fn failing_repair_controller(repair_backoff: Duration) -> Controller {
+    fn failing_repair_controller() -> Controller {
         let mut cfg = retention_cfg();
         cfg.max_write_retries = 1;
         cfg.set_spares_per_bank(1);
         cfg.fault.enabled = true; // sigma 0: every block endures 2 writes
-        cfg.repair_backoff = repair_backoff;
         Controller::new(
             cfg,
             WritePolicy::norm(),
@@ -1964,7 +1490,7 @@ mod tests {
 
     #[test]
     fn repair_write_failures_walk_the_remap_path() {
-        let mut c = failing_repair_controller(MemConfig::paper_default().repair_backoff);
+        let mut c = failing_repair_controller();
         assert!(c.try_write(7, SimTime::ZERO));
         // First expiry (~66 µs): repair fails, backs off, fails again,
         // remaps to the bank's one spare, succeeds there. Second expiry
@@ -1997,12 +1523,12 @@ mod tests {
 
     #[test]
     fn reads_forward_from_a_parked_repair() {
-        let mut c = failing_repair_controller(Duration::from_us(5));
+        let mut c = failing_repair_controller();
         assert!(c.try_write(7, SimTime::ZERO));
         // The first repair of line 7 (~66 µs) fails verify and parks for
-        // its 5 µs backoff.
+        // its 20 ns backoff.
         let mut cycle = 0;
-        while c.deferred_repairs.is_empty() {
+        while !c.reliability.is_parked(7) {
             cycle += 1;
             assert!(cycle <= 60_000, "no repair parked within 150 µs");
             c.tick(SimTime::from_ps(cycle * 2500));
@@ -2015,34 +1541,23 @@ mod tests {
     }
 
     #[test]
-    fn scrub_priority_arbitrates_idle_bank_windows() {
-        let mk = |priority| {
-            let mut cfg = retention_cfg();
-            cfg.retention.base_retention = Duration::from_ns(1_000_000); // never expires here
-            cfg.scrub_interval = Duration::from_ps(2500); // due every edge
-            cfg.scrub_priority = priority;
-            let mut c = Controller::new(
-                cfg,
-                WritePolicy::be_mellow_sc(),
-                EnduranceModel::reram_default(),
-                CancelWear::Prorated,
-            );
-            c.try_eager(0, SimTime::ZERO); // bank 0
-            c.tick(SimTime::from_ps(2500));
-            c
-        };
-        // Eager first: the eager write wins bank 0 (one counted
-        // conflict); the three idle banks scrub.
-        let c = mk(ScrubPriority::EagerFirst);
+    fn eager_writes_win_idle_bank_windows_over_scrub() {
+        let mut cfg = retention_cfg();
+        cfg.retention.base_retention = Duration::from_ns(1_000_000); // never expires here
+        cfg.scrub_interval = Duration::from_ps(2500); // due every edge
+        let mut c = Controller::new(
+            cfg,
+            WritePolicy::be_mellow_sc(),
+            EnduranceModel::reram_default(),
+            CancelWear::Prorated,
+        );
+        c.try_eager(0, SimTime::ZERO); // bank 0
+        c.tick(SimTime::from_ps(2500));
+        // The eager write wins bank 0 (one counted conflict); the three
+        // idle banks scrub.
         assert_eq!(c.queue_depths().2, 0);
         assert_eq!(c.scrub_stats().scrub_reads, 3);
         assert_eq!(c.scrub_stats().scrub_bank_conflicts, 1);
-        // Scrub first: the due visit wins bank 0 and the eager write
-        // waits (no conflict counted — the scrubber did not lose).
-        let c = mk(ScrubPriority::ScrubFirst);
-        assert_eq!(c.queue_depths().2, 1);
-        assert_eq!(c.scrub_stats().scrub_reads, 4);
-        assert_eq!(c.scrub_stats().scrub_bank_conflicts, 0);
     }
 
     #[test]

@@ -12,14 +12,23 @@
 //! energy ledgers of `mellow-nvm`, with Start-Gap remapping demand
 //! blocks at bank granularity.
 //!
+//! Internally the controller is a scheduler (queues, banks, the bus,
+//! the wear ledger and energy) plus a reliability pipeline: write
+//! verify → retry → remap → spare, drift detection, and the background
+//! scrubber with its parked repair retries. The pipeline reports
+//! through [`FaultStats`], [`RetentionStats`] and [`ScrubStats`]; with
+//! faults and retention disabled (the default) it holds no state.
+//!
 //! See [`Controller`] for the driving protocol and an example.
 
 mod config;
 mod controller;
 mod queues;
+mod reliability;
 
-pub use config::{LineMapping, MemConfig, ScrubPriority};
-pub use controller::{Controller, CtrlStats, FaultStats, RetentionStats, ScrubStats};
+pub use config::{LineMapping, MemConfig};
+pub use controller::{Controller, CtrlStats};
+pub use reliability::{FaultStats, RetentionStats, ScrubStats};
 
 #[cfg(test)]
 mod tests {

@@ -17,6 +17,7 @@
 //! `controller_skip_matches_full_ticks` compares the two directly, and
 //! the system's cycle reference loop ticks the controller in full.
 
+use crate::LineMapping;
 use mellow_engine::SimTime;
 use std::collections::VecDeque;
 
@@ -42,6 +43,23 @@ pub(crate) struct QueuedReq {
     /// completion counts as a repair, not a demand/eager write, and a
     /// lost repair is a retention-uncorrectable loss.
     pub(crate) repair: bool,
+}
+
+impl QueuedReq {
+    /// A fresh request for `line`, enqueued at `enq`.
+    pub(crate) fn new(line: u64, mapping: LineMapping, enq: SimTime) -> Self {
+        QueuedReq {
+            line,
+            bank: mapping.bank,
+            row: mapping.row,
+            enq,
+            data_resident: false,
+            cancels: 0,
+            remaining: 1.0,
+            retries: 0,
+            repair: false,
+        }
+    }
 }
 
 /// A handle to one read chosen by [`RequestQueues::pick_read`], valid
@@ -189,17 +207,15 @@ mod tests {
     use super::*;
 
     fn req(line: u64, bank: usize, row: u64) -> QueuedReq {
-        QueuedReq {
+        QueuedReq::new(
             line,
-            bank,
-            row,
-            enq: SimTime::ZERO,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        }
+            LineMapping {
+                bank,
+                row,
+                block: 0,
+            },
+            SimTime::ZERO,
+        )
     }
 
     #[test]

@@ -207,33 +207,14 @@ pub struct EnergyAccount {
     pub cancelled_slow_equiv: f64,
 }
 
-impl mellow_engine::json::JsonField for EnergyAccount {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            rb_hit_reads,
-            buffer_reads,
-            normal_writes,
-            slow_writes,
-            cancelled_normal_equiv,
-            cancelled_slow_equiv,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<EnergyAccount> {
-        mellow_engine::json_fields_from!(
-            v,
-            EnergyAccount {
-                rb_hit_reads,
-                buffer_reads,
-                normal_writes,
-                slow_writes,
-                cancelled_normal_equiv,
-                cancelled_slow_equiv,
-            }
-        )
-    }
-}
+mellow_engine::impl_json_fields!(EnergyAccount {
+    rb_hit_reads,
+    buffer_reads,
+    normal_writes,
+    slow_writes,
+    cancelled_normal_equiv,
+    cancelled_slow_equiv,
+});
 
 impl EnergyAccount {
     /// Records a row-buffer-hit read.

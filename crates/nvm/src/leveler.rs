@@ -279,22 +279,11 @@ impl LevelerStats {
     }
 }
 
-impl mellow_engine::json::JsonField for LevelerStats {
-    fn to_json(&self) -> Json {
-        mellow_engine::json_fields_to!(self, overhead_writes, migrations, fault_remaps)
-    }
-
-    fn from_json(v: &Json) -> Option<LevelerStats> {
-        mellow_engine::json_fields_from!(
-            v,
-            LevelerStats {
-                overhead_writes,
-                migrations,
-                fault_remaps,
-            }
-        )
-    }
-}
+mellow_engine::impl_json_fields!(LevelerStats {
+    overhead_writes,
+    migrations,
+    fault_remaps,
+});
 
 /// A bank-granularity wear leveler: the memory controller's single
 /// interface to logical→physical remapping, wear-rotation feedback,

@@ -68,35 +68,15 @@ pub struct BankWear {
     pub leveling_writes: u64,
 }
 
-impl mellow_engine::json::JsonField for BankWear {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            total_wear,
-            normal_writes,
-            slow_writes,
-            cancelled_writes,
-            cancelled_normal_equiv,
-            cancelled_slow_equiv,
-            leveling_writes,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<BankWear> {
-        mellow_engine::json_fields_from!(
-            v,
-            BankWear {
-                total_wear,
-                normal_writes,
-                slow_writes,
-                cancelled_writes,
-                cancelled_normal_equiv,
-                cancelled_slow_equiv,
-                leveling_writes,
-            }
-        )
-    }
-}
+mellow_engine::impl_json_fields!(BankWear {
+    total_wear,
+    normal_writes,
+    slow_writes,
+    cancelled_writes,
+    cancelled_normal_equiv,
+    cancelled_slow_equiv,
+    leveling_writes,
+});
 
 impl BankWear {
     /// Returns the number of completed demand writes (normal + slow).

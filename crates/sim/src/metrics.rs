@@ -190,75 +190,35 @@ impl Metrics {
     }
 }
 
-impl mellow_engine::json::JsonField for Metrics {
-    fn to_json(&self) -> mellow_engine::json::Json {
-        mellow_engine::json_fields_to!(
-            self,
-            workload,
-            policy,
-            instructions,
-            loads,
-            stores,
-            core_cycles,
-            ipc,
-            elapsed_secs,
-            mpki,
-            lifetime_years,
-            per_bank_lifetime_years,
-            capacity_99_years,
-            capacity_95_years,
-            usable_capacity_fraction,
-            faults,
-            retention,
-            scrub,
-            avg_bank_utilization,
-            drain_fraction,
-            total_wear,
-            bank_wear,
-            slow_write_fraction,
-            ctrl,
-            llc,
-            energy_ops,
-            leveler,
-            leveling,
-        )
-    }
-
-    fn from_json(v: &mellow_engine::json::Json) -> Option<Metrics> {
-        mellow_engine::json_fields_from!(
-            v,
-            Metrics {
-                workload,
-                policy,
-                instructions,
-                loads,
-                stores,
-                core_cycles,
-                ipc,
-                elapsed_secs,
-                mpki,
-                lifetime_years,
-                per_bank_lifetime_years,
-                capacity_99_years,
-                capacity_95_years,
-                usable_capacity_fraction,
-                faults,
-                retention,
-                scrub,
-                avg_bank_utilization,
-                drain_fraction,
-                total_wear,
-                bank_wear,
-                slow_write_fraction,
-                ctrl,
-                llc,
-                energy_ops,
-                leveler,
-                leveling,
-            }
-        )
-    }
-}
+mellow_engine::impl_json_fields!(Metrics {
+    workload,
+    policy,
+    instructions,
+    loads,
+    stores,
+    core_cycles,
+    ipc,
+    elapsed_secs,
+    mpki,
+    lifetime_years,
+    per_bank_lifetime_years,
+    capacity_99_years,
+    capacity_95_years,
+    usable_capacity_fraction,
+    faults,
+    retention,
+    scrub,
+    avg_bank_utilization,
+    drain_fraction,
+    total_wear,
+    bank_wear,
+    slow_write_fraction,
+    ctrl,
+    llc,
+    energy_ops,
+    leveler,
+    leveling,
+});
 
 #[cfg(test)]
 mod tests {

@@ -414,6 +414,15 @@ impl System {
         }
     }
 
+    /// Empties every component's dirty-site log unread.
+    #[cfg(feature = "sanitize")]
+    fn discard_dirty_sites(&mut self) {
+        self.l1.take_dirty_sites();
+        self.l2.take_dirty_sites();
+        self.llc.take_dirty_sites();
+        self.ctrl.take_dirty_sites();
+    }
+
     /// Test hook: runs one horizon refresh under the sanitizer.
     #[cfg(feature = "sanitize")]
     pub fn sanitize_refresh(&mut self) {
@@ -566,8 +575,7 @@ impl System {
     /// earliest posted horizon — a cache input head coming due, the
     /// controller's actionable memory-clock edge, or the
     /// utility-monitor sample boundary — batch-replaying the skipped
-    /// ticks' side effects (see
-    /// [`advance_event`](Self::advance_event)). The reference loop,
+    /// ticks' side effects (see `advance_event`). The reference loop,
     /// [`SystemConfig::use_cycle_loop`], instead ticks every cycle and
     /// the controller in full, and produces bit-identical results; the
     /// equivalence tests pin it.
@@ -585,6 +593,13 @@ impl System {
             // instruction: the loops must exit at the same cycle.
             if self.core.retired_instructions() < target && !self.cfg.use_cycle_loop {
                 self.advance_event();
+            }
+            // Only the event kernel's horizon refresh drains the
+            // dirty-site logs, so the cycle loop drops them instead of
+            // letting them grow with the run.
+            #[cfg(feature = "sanitize")]
+            if self.cfg.use_cycle_loop {
+                self.discard_dirty_sites();
             }
             assert!(
                 self.cycle < cycle_cap,
@@ -747,6 +762,26 @@ mod tests {
         // RNG value each — the batch replay must reproduce the stream.
         use mellow_core::BasePolicy;
         assert_loops_identical(WritePolicy::new(BasePolicy::BEMellow), 6, 30_000);
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn cycle_loop_keeps_no_dirty_site_backlog() {
+        // Nothing refreshes horizons in the cycle loop, so unless the
+        // loop drops the logs every controller edge and cache mutation
+        // of the run stays queued (hundreds of thousands of entries
+        // here).
+        let mut cfg = scaled_config(WritePolicy::be_mellow_sc());
+        cfg.use_cycle_loop = true;
+        let mut sys = System::new(cfg, Synth::new(0xDECAF, 4));
+        sys.run_instructions(20_000);
+        let backlog = [
+            sys.l1.take_dirty_sites().len(),
+            sys.l2.take_dirty_sites().len(),
+            sys.llc.take_dirty_sites().len(),
+            sys.ctrl.take_dirty_sites().len(),
+        ];
+        assert_eq!(backlog, [0; 4], "L1, L2, LLC, controller");
     }
 
     #[test]

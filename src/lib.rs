@@ -32,7 +32,7 @@
 //! | [`workloads`] | `mellow-workloads` | Table IV synthetic benchmark generators |
 //! | [`sim`] | `mellow-sim` | the wired full system and experiment runner |
 //! | [`engine`] | `mellow-engine` | simulation time, queues, statistics |
-//! | [`bench`] | `mellow-bench` | parallel cached sweeps ([`bench::Sweep`]) and the figure generators |
+//! | [`mod@bench`] | `mellow-bench` | parallel cached sweeps ([`bench::Sweep`]) and the figure generators |
 //!
 //! # Quickstart
 //!

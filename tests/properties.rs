@@ -1,12 +1,19 @@
 //! Property-based tests over the core data structures and invariants.
 
+use mellow_writes::cache::CacheStats;
 use mellow_writes::core::{
     decide_write, BankQueueView, UtilityMonitor, WearQuota, WearQuotaConfig, WriteDecision,
     WritePolicy,
 };
-use mellow_writes::engine::{BoundedQueue, Clock, Duration, SimTime, TimerQueue};
-use mellow_writes::memctrl::{Controller, MemConfig, ScrubPriority};
-use mellow_writes::nvm::{CancelWear, EnduranceModel, ExpoFactor, StartGap, WearLedger};
+use mellow_writes::engine::json::{Json, JsonField};
+use mellow_writes::engine::{Clock, Duration, SimTime, TimerQueue};
+use mellow_writes::memctrl::{
+    Controller, CtrlStats, FaultStats, MemConfig, RetentionStats, ScrubStats,
+};
+use mellow_writes::nvm::energy::EnergyAccount;
+use mellow_writes::nvm::{
+    BankWear, CancelWear, EnduranceModel, ExpoFactor, LevelerStats, StartGap, WearLedger,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -37,23 +44,20 @@ fn arb_policy() -> impl Strategy<Value = WritePolicy> {
 
 /// A small controller configuration (dense bank/line collisions, short
 /// quota periods) with the reliability knobs drawn: retention on/off
-/// and its base retention, the scrub interval (off in half the cases)
-/// and priority, the repair backoff (zero in half the cases), and the
-/// transient fault rate with the spare pool and retry budget. The write
-/// queue cap (with drain thresholds derived from it) is drawn too, so
-/// retries and repairs regularly push the queue past its cap.
+/// and its base retention, the scrub interval (off in half the cases),
+/// and the transient fault rate with the spare pool and retry budget.
+/// The write queue cap (with drain thresholds derived from it) is drawn
+/// too, so retries and repairs regularly push the queue past its cap.
 fn arb_reliability_config() -> impl Strategy<Value = MemConfig> {
     (
         (any::<bool>(), 100u64..5_000),
-        (any::<bool>(), 20u64..2_000, any::<bool>()),
-        (any::<bool>(), 1u64..500),
+        (any::<bool>(), 20u64..2_000),
         (0.0f64..0.3, 0u64..4, 0u32..3),
         8usize..33,
     )
-        .prop_map(|(retention, scrub, backoff, fault, write_cap)| {
+        .prop_map(|(retention, scrub, fault, write_cap)| {
             let (retention_on, retention_ns) = retention;
-            let (scrub_on, scrub_ns, scrub_first) = scrub;
-            let (backoff_on, backoff_ns) = backoff;
+            let (scrub_on, scrub_ns) = scrub;
             let (transient_rate, spares, retries) = fault;
             let mut cfg = MemConfig::paper_default();
             cfg.capacity_bytes = 1 << 22;
@@ -61,12 +65,6 @@ fn arb_reliability_config() -> impl Strategy<Value = MemConfig> {
             cfg.retention.enabled = retention_on;
             cfg.retention.base_retention = Duration::from_ns(retention_ns);
             cfg.scrub_interval = Duration::from_ns(if scrub_on { scrub_ns } else { 0 });
-            cfg.scrub_priority = if scrub_first {
-                ScrubPriority::ScrubFirst
-            } else {
-                ScrubPriority::EagerFirst
-            };
-            cfg.repair_backoff = Duration::from_ns(if backoff_on { backoff_ns } else { 0 });
             cfg.fault.enabled = true;
             cfg.fault.transient_rate = transient_rate;
             cfg.set_spares_per_bank(spares);
@@ -76,6 +74,32 @@ fn arb_reliability_config() -> impl Strategy<Value = MemConfig> {
             cfg.drain_low = write_cap / 2;
             cfg
         })
+}
+
+/// Gives every scalar field of `T`'s JSON row a distinct value (from
+/// `base`), rebuilds `T` from that row's text and serializes it again:
+/// `true` when the row comes back unchanged, so each field is read from
+/// and written to its own key.
+fn row_round_trips<T: JsonField + Default>(base: u64, scale: f64) -> bool {
+    let Json::Obj(fields) = T::default().to_json() else {
+        return false;
+    };
+    let row = Json::Obj(
+        fields
+            .into_iter()
+            .enumerate()
+            .map(|(i, (key, value))| {
+                let value = match value {
+                    Json::UInt(_) => Json::from(base.wrapping_add(i as u64)),
+                    Json::Num(_) => Json::from(scale * (i + 1) as f64),
+                    other => other,
+                };
+                (key, value)
+            })
+            .collect(),
+    );
+    let reparsed = Json::parse(&row.to_string()).expect("serialized JSON parses");
+    T::from_json(&reparsed).map(|t| t.to_json()) == Some(row)
 }
 
 proptest! {
@@ -303,34 +327,18 @@ proptest! {
         }
     }
 
-    /// Bounded queue behaves exactly like a capacity-checked VecDeque.
+    /// Every stats row's single `impl_json_fields!` list round-trips each
+    /// field through JSON text under its own key.
     #[test]
-    fn bounded_queue_matches_model(
-        ops in proptest::collection::vec((0u8..3, 0u32..100), 0..200),
-        cap in 1usize..16,
-    ) {
-        let mut q = BoundedQueue::new(cap);
-        let mut model = std::collections::VecDeque::new();
-        for (op, v) in ops {
-            match op {
-                0 => {
-                    let ok = q.try_push(v).is_ok();
-                    prop_assert_eq!(ok, model.len() < cap);
-                    if ok {
-                        model.push_back(v);
-                    }
-                }
-                1 => {
-                    prop_assert_eq!(q.pop_front(), model.pop_front());
-                }
-                _ => {
-                    let got = q.remove_first(|&x| x == v);
-                    let idx = model.iter().position(|&x| x == v);
-                    prop_assert_eq!(got, idx.map(|i| model.remove(i).unwrap()));
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
+    fn stats_rows_round_trip_through_json(base in any::<u64>(), scale in 0.0f64..1e9) {
+        prop_assert!(row_round_trips::<CtrlStats>(base, scale));
+        prop_assert!(row_round_trips::<FaultStats>(base, scale));
+        prop_assert!(row_round_trips::<RetentionStats>(base, scale));
+        prop_assert!(row_round_trips::<ScrubStats>(base, scale));
+        prop_assert!(row_round_trips::<CacheStats>(base, scale));
+        prop_assert!(row_round_trips::<BankWear>(base, scale));
+        prop_assert!(row_round_trips::<LevelerStats>(base, scale));
+        prop_assert!(row_round_trips::<EnergyAccount>(base, scale));
     }
 
     /// Timer queue pops in nondecreasing (time, insertion) order.

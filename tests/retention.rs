@@ -7,7 +7,7 @@
 
 use mellow_writes::core::WritePolicy;
 use mellow_writes::engine::{DetRng, Duration, SimTime};
-use mellow_writes::memctrl::{Controller, MemConfig, ScrubPriority};
+use mellow_writes::memctrl::{Controller, MemConfig};
 use mellow_writes::nvm::{CancelWear, EnduranceModel, ExpoFactor, SaturatingMerge};
 use mellow_writes::sim::Experiment;
 use mellow_writes::workloads::WorkloadSpec;
@@ -136,12 +136,6 @@ impl ChaosCase {
         // Interval 0 turns the scrubber off: those cases exercise the
         // demand-read detection path alone.
         cfg.scrub_interval = Duration::from_ns([0, 1_000, 5_000][knobs.below(3) as usize]);
-        cfg.scrub_priority = if knobs.chance(0.5) {
-            ScrubPriority::EagerFirst
-        } else {
-            ScrubPriority::ScrubFirst
-        };
-        cfg.repair_backoff = Duration::from_ns([0, 20, 100][knobs.below(3) as usize]);
         // The fault layer supplies the failing-repair substrate: without
         // it a repair rewrite can never fail verify.
         cfg.fault.enabled = true;
@@ -328,10 +322,9 @@ impl ChaosCase {
 }
 
 /// 72 seeded cases across the retention-knob grid (drift rate × sigma ×
-/// slow-write boost × wear coupling × scrub interval × priority ×
-/// backoff × the fault grid), each audited against the accounting
-/// invariants, with aggregate non-vacuity checks folded through the
-/// shared saturating-merge helper.
+/// slow-write boost × wear coupling × scrub interval × the fault grid),
+/// each audited against the accounting invariants, with aggregate
+/// non-vacuity checks folded through the shared saturating-merge helper.
 #[test]
 fn chaos_cases_satisfy_retention_invariants() {
     let mut totals = mellow_writes::memctrl::RetentionStats::default();
