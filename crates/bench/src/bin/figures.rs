@@ -5,26 +5,21 @@
 //!
 //! targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
 //!          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
-//!          faults leveling retention perf sanitize main all
+//!          faults leveling retention perf main all
 //! ```
 //!
 //! `main` runs the shared Figs. 10–17 matrix once and prints all of
 //! them; `all` additionally runs Figs. 1–3, 18, 19 and the tables.
 //! `--full` uses the publication scale (slower); `--tiny` a CI smoke
 //! scale. `perf` is not a paper artifact: it times the system's
-//! event-queue kernel against the reference one-cycle-at-a-time loop,
+//! event kernel against the reference one-cycle-at-a-time loop,
 //! which also ticks the controller in full on every edge, on
 //! full-system runs (always uncached, since it measures wall clock
 //! rather than simulated results), then appends the measurements to
 //! `BENCH_system.json` at the repo root.
 //! With `--guard` it additionally exits nonzero when the geomean
 //! speedup regresses below 0.8x the last committed same-scale entry
-//! (the CI perf-smoke check). `sanitize` requires a build with
-//! `--features sanitize`: it runs every Table IV workload through both
-//! tick loops under the mellow-san event-protocol sanitizer
-//! (always uncached — the point is exercising the protocol, not the
-//! results), so any late wake, stale pop, forbidden dirty site, or
-//! misaligned controller horizon aborts with a cycle-stamped trail.
+//! (the CI perf-smoke check).
 //!
 //! Simulations run on all available cores (`--threads N` overrides) and
 //! land in a JSON-lines result cache (`target/sweep-cache.jsonl` by
@@ -44,7 +39,7 @@ usage: figures <target> [--full|--tiny] [--threads N] [--store PATH] [--no-cache
 
 targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
-         faults leveling retention perf sanitize main all (default)
+         faults leveling retention perf main all (default)
 
   --full        publication scale (slower)
   --tiny        CI smoke scale (fast, not meaningful for artifacts)
@@ -186,15 +181,6 @@ fn main() {
                 exit(1);
             }
         }
-        "sanitize" => {
-            let (report, ok) = sanitize_report(scale, scale_label);
-            out.push_str(&report);
-            if !ok {
-                println!("{out}");
-                eprintln!("sanitize run FAILED: see report above");
-                exit(1);
-            }
-        }
         "main" => print_main(&mut out),
         "all" => {
             out.push_str(&figures::fig1());
@@ -212,7 +198,7 @@ fn main() {
     println!("{out}");
 }
 
-/// Times the event-queue kernel against the reference
+/// Times the event kernel against the reference
 /// one-cycle-at-a-time loop (which also ticks the controller in full,
 /// so it checks the controller's skip as well as the kernel's jumps) on
 /// a representative workload spread (streaming, random, write-heavy,
@@ -359,65 +345,4 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
     (out, guard_ok)
-}
-
-/// Runs every Table IV workload through both tick loops with the
-/// mellow-san runtime sanitizer armed, checking the loops still agree
-/// bit for bit. A protocol violation (late wake, stale-generation pop,
-/// forbidden dirty site, misaligned controller horizon) panics inside
-/// the run with a cycle-stamped event trail, so a completed sweep is
-/// the proof of cleanliness.
-///
-/// Requires a binary built with `--features sanitize`; without it the
-/// shadow checker is compiled out and the run would vacuously pass, so
-/// the target refuses to run instead.
-fn sanitize_report(scale: Scale, scale_label: &str) -> (String, bool) {
-    use mellow_bench::compare_system_loops;
-    use mellow_bench::figures::WORKLOADS;
-    use mellow_core::WritePolicy;
-
-    if !cfg!(feature = "sanitize") {
-        return (
-            "the sanitize target needs the shadow checker compiled in; rebuild with\n  cargo run \
-             -p mellow-bench --features sanitize --release --bin figures -- sanitize\n"
-                .to_owned(),
-            false,
-        );
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== mellow-san: {} workloads x 2 tick loops at {scale_label} scale (be_mellow_sc) ==\n",
-        WORKLOADS.len()
-    ));
-    out.push_str(&format!(
-        "{:<12} {:>9} {:>9}  {}\n",
-        "workload", "cycle s", "event s", "metrics"
-    ));
-    let mut all_match = true;
-    for w in WORKLOADS {
-        eprintln!("sanitizing {w} (cycle / event loops, uncached)...");
-        let rows = compare_system_loops(&[w], WritePolicy::be_mellow_sc(), scale)
-            .expect("Table IV presets are valid workloads");
-        for r in &rows {
-            all_match &= r.metrics_match;
-            out.push_str(&format!(
-                "{:<12} {:>9.3} {:>9.3}  {}\n",
-                r.workload,
-                r.cycle_secs,
-                r.event_secs,
-                if r.metrics_match {
-                    "identical"
-                } else {
-                    "MISMATCH"
-                }
-            ));
-        }
-    }
-    out.push_str(if all_match {
-        "mellow-san: clean — no protocol violations, loops bit-identical\n"
-    } else {
-        "mellow-san: loops disagree — see MISMATCH rows above\n"
-    });
-    (out, all_match)
 }

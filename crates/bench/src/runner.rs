@@ -89,8 +89,7 @@ pub struct LoopComparison {
     /// Wall-clock seconds for the reference one-cycle-at-a-time loop
     /// (which also ticks the controller in full on every edge).
     pub cycle_secs: f64,
-    /// Wall-clock seconds for the event-queue kernel (the default
-    /// loop).
+    /// Wall-clock seconds for the event kernel (the default loop).
     pub event_secs: f64,
     /// Simulated instructions per run (warm-up plus measured window).
     pub instructions: u64,
@@ -113,9 +112,9 @@ impl LoopComparison {
 }
 
 /// Times each `(workload, policy)` experiment end to end under both
-/// system tick loops (`SystemConfig::use_cycle_loop` and the
-/// event-queue kernel default) and checks the [`Metrics`](mellow_sim::Metrics) rows agree
-/// bit for bit.
+/// system tick loops (`SystemConfig::use_cycle_loop` and the event
+/// kernel default) and checks the [`Metrics`](mellow_sim::Metrics) rows
+/// agree bit for bit.
 ///
 /// The loops are behaviorally identical by construction (see the
 /// equivalence tests in `tests/end_to_end.rs` and the system unit

@@ -159,14 +159,23 @@ impl ResultStore {
         let mut rows = BTreeMap::new();
         let mut skipped_lines = 0;
         let mut disk_keys = Vec::new();
-        let reader = BufReader::new(file.try_clone().map_err(|e| fail(e.to_string()))?);
-        for line in reader.lines() {
-            let line = line.map_err(|e| fail(format!("reading: {e}")))?;
+        let mut reader = BufReader::new(file.try_clone().map_err(|e| fail(e.to_string()))?);
+        let mut line = String::new();
+        let mut torn = false;
+        loop {
+            line.clear();
+            let n = reader
+                .read_line(&mut line)
+                .map_err(|e| fail(format!("reading: {e}")))?;
+            if n == 0 {
+                break;
+            }
+            torn = !line.ends_with('\n');
             if line.trim().is_empty() {
                 skipped_lines += 1;
                 continue;
             }
-            match Self::parse_line(&line) {
+            match Self::parse_line(line.trim_end()) {
                 Some((key, metrics)) => {
                     disk_keys.push(key);
                     rows.insert(key, metrics);
@@ -175,6 +184,13 @@ impl ResultStore {
                 // sweep; drop it and let the cell re-run.
                 None => skipped_lines += 1,
             }
+        }
+        // Terminate a torn last line, so the next insert starts a line of
+        // its own instead of merging into the debris.
+        if torn {
+            (&file)
+                .write_all(b"\n")
+                .map_err(|e| fail(format!("terminating torn line: {e}")))?;
         }
         // Already canonical only if the lines were strictly ascending
         // (sorted, no duplicates) with no debris.
@@ -350,6 +366,35 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.skipped_lines(), 1);
         assert!(store.get(&key).is_some());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn insert_after_a_torn_tail_survives_a_second_kill() {
+        // A sweep killed mid-append, resumed, and killed again before
+        // its closing compact: the row the resumed sweep finished must
+        // not merge into the first kill's torn line.
+        let path = temp_store("torn-resume");
+        let _ = std::fs::remove_file(&path);
+        let e1 = try_experiment_for("lbm", WritePolicy::norm(), Scale::quick()).unwrap();
+        let e2 = try_experiment_for("gups", WritePolicy::norm(), Scale::quick()).unwrap();
+        let (k1, k2) = (CellKey::for_experiment(&e1), CellKey::for_experiment(&e2));
+        let m = tiny_metrics("lbm");
+        {
+            let mut store = ResultStore::open(&path).unwrap();
+            store.insert(&k1, &m).unwrap();
+        }
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"key\": \"torn").unwrap();
+        drop(f);
+        {
+            let mut store = ResultStore::open(&path).unwrap();
+            store.insert(&k2, &m).unwrap();
+        }
+        let reloaded = ResultStore::open(&path).unwrap();
+        assert_eq!(reloaded.skipped_lines(), 1);
+        assert_eq!(reloaded.len(), 2);
+        assert!(reloaded.get(&k1).is_some() && reloaded.get(&k2).is_some());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -231,14 +231,6 @@ pub struct Cache {
     /// candidate (`LruSet::eager_candidate` requires a dirty line).
     dirty_lines: u64,
     set_dirty: Vec<u32>,
-    /// Raised whenever [`next_event`](Self::next_event) may have changed;
-    /// consumed by the event kernel via
-    /// [`take_event_dirty`](Self::take_event_dirty).
-    event_dirty: bool,
-    /// Sites that raised the flag since the kernel last drained them;
-    /// consumed by the sanitizer for forbidden-site attribution.
-    #[cfg(feature = "sanitize")]
-    dirty_sites: Vec<&'static str>,
 }
 
 impl Cache {
@@ -265,16 +257,12 @@ impl Cache {
             stats: CacheStats::default(),
             dirty_lines: 0,
             set_dirty: vec![0; num_sets as usize],
-            event_dirty: true,
-            #[cfg(feature = "sanitize")]
-            dirty_sites: Vec::new(),
             cfg,
         }
     }
 
     /// Attaches the Eager Mellow Writes utility monitor (normally only on
     /// the LLC).
-    // mellow-lint: allow(horizon-protocol) -- setup-time attach before the first refresh; the monitor never feeds next_event
     pub fn enable_eager(&mut self) {
         self.eager = Some(EagerState {
             monitor: UtilityMonitor::new(self.cfg.assoc),
@@ -309,12 +297,13 @@ impl Cache {
         self.input.len() >= self.cfg.input_capacity
     }
 
-    /// The cache's next-event hook for the system's event kernel: the
-    /// earliest time a future [`tick`](Self::tick) could change
-    /// state, or `None` when no future tick can act without new input —
-    /// the input queue is empty, or its head is stalled on a full MSHR
-    /// file (a stall only a [`deliver_fill`](Self::deliver_fill) can
-    /// clear, during which each tick is the batchable no-op applied by
+    /// The cache's next-event hook, which the system's event kernel reads
+    /// fresh on every jump: the earliest time a future
+    /// [`tick`](Self::tick) could change state, or `None` when no future
+    /// tick can act without new input — the input queue is empty, or its
+    /// head is stalled on a full MSHR file (a stall only a
+    /// [`deliver_fill`](Self::deliver_fill) can clear, during which each
+    /// tick is the batchable no-op applied by
     /// [`fast_forward_stalled`](Self::fast_forward_stalled)).
     ///
     /// A returned time at or before `now` means the cache still has due
@@ -364,44 +353,13 @@ impl Cache {
         self.stats.input_rejects += ticks.count();
     }
 
-    /// Returns and clears the "my [`next_event`](Self::next_event) may
-    /// have changed" flag. The event kernel polls this instead of
-    /// recomputing the horizon every jump: a cache that reports `false`
-    /// is guaranteed to have the same horizon it last posted.
+    /// Whether [`next_event`](Self::next_event) may have moved since the
+    /// last call: always `true`. The system's event kernel reads the
+    /// horizon fresh on every jump, so the cache tracks no changes; a
+    /// caller that still caches horizons re-queries every time, which is
+    /// always correct.
     pub fn take_event_dirty(&mut self) -> bool {
-        std::mem::replace(&mut self.event_dirty, false)
-    }
-
-    /// Raises the event-dirty flag, attributing the raise to `site` when
-    /// the sanitizer is compiled in.
-    fn raise_dirty(&mut self, site: &'static str) {
-        self.event_dirty = true;
-        #[cfg(feature = "sanitize")]
-        self.dirty_sites.push(site);
-        #[cfg(not(feature = "sanitize"))]
-        let _ = site;
-    }
-
-    /// Drains the sites that raised the dirty flag since the last drain.
-    #[cfg(feature = "sanitize")]
-    pub fn take_dirty_sites(&mut self) -> Vec<&'static str> {
-        std::mem::take(&mut self.dirty_sites)
-    }
-
-    /// Test hook: raises the dirty flag from an arbitrary `site`, for
-    /// sanitizer violation-injection tests.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_raise_dirty(&mut self, site: &'static str) {
-        self.raise_dirty(site);
-    }
-
-    /// Test hook: suppresses a pending dirty flag (and its sites) so a
-    /// horizon-moving mutation goes unreported — the late-wake violation
-    /// the sanitizer must catch.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_clear_dirty(&mut self) {
-        self.event_dirty = false;
-        self.dirty_sites.clear();
+        true
     }
 
     /// Returns `true` while any output queue (completions, fills up,
@@ -434,7 +392,6 @@ impl Cache {
             ready: now + self.cfg.hit_latency,
             msg,
         });
-        self.raise_dirty("try_push");
         true
     }
 
@@ -480,7 +437,6 @@ impl Cache {
     /// Panics if no MSHR is outstanding for `line` (protocol violation).
     pub fn deliver_fill(&mut self, line: u64, _now: SimTime) {
         self.stats.fills += 1;
-        self.raise_dirty("deliver_fill");
         let entry = self
             .mshrs
             .take(line)
@@ -544,7 +500,6 @@ impl Cache {
                 break;
             }
             let msg = head.msg;
-            self.raise_dirty("tick");
             match msg {
                 Incoming::Demand { id, line, is_store } => {
                     if !self.process_demand(id, line, is_store) {
@@ -631,13 +586,11 @@ impl Cache {
 
     /// Removes and returns the next completed demand id (top-level
     /// interface).
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_completion(&mut self) -> Option<AccessId> {
         self.completions.pop_front()
     }
 
     /// Removes and returns the next line available for the level above.
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_fill_up(&mut self) -> Option<u64> {
         self.fills_up.pop_front()
     }
@@ -649,7 +602,6 @@ impl Cache {
     }
 
     /// Removes the fetch returned by [`peek_miss_down`](Self::peek_miss_down).
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_miss_down(&mut self) -> Option<u64> {
         self.miss_down.pop_front()
     }
@@ -662,7 +614,6 @@ impl Cache {
 
     /// Removes the writeback returned by
     /// [`peek_writeback_down`](Self::peek_writeback_down).
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_writeback_down(&mut self) -> Option<u64> {
         self.wb_down.pop_front()
     }

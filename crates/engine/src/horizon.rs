@@ -1,10 +1,13 @@
-//! Event-horizon queue for the discrete-event simulation kernel.
+//! Event-horizon queue.
 //!
-//! The kernel's sources (sampler, caches, memory controller) each expose
-//! a *horizon*: the earliest future instant at which they next have work.
-//! Instead of recomputing `min(next_event...)` over every component on
-//! every jump, sources post their horizon here whenever it changes and
-//! the main loop pops the earliest one.
+//! A source (a sampler, a cache, a memory controller) exposes a
+//! *horizon*: the earliest future instant at which it next has work.
+//! Sources post their horizon here whenever it changes and a loop pops
+//! the earliest one.
+//!
+//! The system's event kernel does not use this queue: with five sources,
+//! it reads every `next_event` hook fresh on each jump and takes the
+//! minimum, which leaves no cached horizon to keep current.
 //!
 //! The queue is index-addressed: each source owns a small integer id and
 //! has **at most one live horizon** at a time. Re-posting a source

@@ -13,9 +13,10 @@
 //! - [`TimerQueue`] — a deterministic pending-completion queue used by
 //!   components that have in-flight operations (cache fills, bank busy
 //!   intervals, bus transfers).
-//! - [`HorizonQueue`] — the event kernel's per-source horizon registry:
-//!   components post "my next work is at `t`" events and the main loop
-//!   pops the earliest instead of polling every component.
+//! - [`HorizonQueue`] — a per-source horizon registry: sources post "my
+//!   next work is at `t`" and a loop pops the earliest. The system's
+//!   event kernel no longer uses it; it reads each component's horizon
+//!   fresh on every jump.
 //! - [`stats`] — counters, busy-time accumulators and histograms from which
 //!   every figure of the paper is ultimately computed.
 //! - [`DetRng`] — a small deterministic RNG so that identical seeds always
@@ -38,8 +39,6 @@ mod clock;
 mod horizon;
 pub mod json;
 mod rng;
-#[cfg(feature = "sanitize")]
-pub mod sanitize;
 pub mod stats;
 mod time;
 mod timer;

@@ -1,12 +1,12 @@
 //! `mellow-lint` — the workspace's offline static-analysis pass.
 //!
 //! The simulator's headline guarantees (bit-identical replay of every
-//! experiment, a single blessed crossing point between clock domains, the
-//! event kernel's dirty-flag protocol) are properties no unit test can
-//! protect forever: one `as u64`, one `HashMap` iteration or one forgotten
-//! `event_dirty` raise in a future patch silently re-introduces the bug
+//! experiment, a single blessed crossing point between clock domains,
+//! one reproducible RNG stream per consumer) are properties no unit test
+//! can protect forever: one `as u64`, one `HashMap` iteration or one
+//! cloned `DetRng` in a future patch silently re-introduces the bug
 //! class. This crate walks every workspace `.rs` file with a hand-rolled
-//! lexer and enforces seven rules (see [`rules`]):
+//! lexer and enforces five rules (see [`rules`]):
 //!
 //! | rule | name | enforces |
 //! |------|------|----------|
@@ -14,9 +14,9 @@
 //! | L2 | `determinism` | no hash-order iteration or wall clocks in simulation crates |
 //! | L3 | `panic-policy` | no `.unwrap()` / `.expect("")` in non-test library code |
 //! | L4 | `stats-exhaustiveness` | every `*Stats` field has an accumulate *and* a report site |
-//! | L5 | `horizon-protocol` | hot-state mutators raise `event_dirty`; pure observers never touch dirty/post APIs |
 //! | L6 | `rng-discipline` | `DetRng` streams come from named derivation constructors; no clones, `skip` only in span replay |
-//! | L7 | `horizon-source-exhaustiveness` | every `*Source` horizon variant has a post site and a pop-dispatch arm |
+//!
+//! Rule numbers are stable: L5 and L7 are retired and not reused.
 //!
 //! The rules are trait objects in a [`rules::registry`] sharing one lexing
 //! pass per file. Violations are diffed against a committed [`baseline`]
@@ -32,7 +32,7 @@ pub mod runner;
 
 use std::fmt;
 
-/// The seven rules, in severity-of-surprise order.
+/// The five rules, in severity-of-surprise order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// L1: clock-domain discipline.
@@ -43,13 +43,8 @@ pub enum Rule {
     PanicPolicy,
     /// L4: every stats counter is accumulated and reported.
     StatsExhaustiveness,
-    /// L5: the event-dirty protocol — mutators raise the flag, observers
-    /// never touch dirty/post APIs.
-    HorizonProtocol,
     /// L6: `DetRng` stream construction, cloning and skipping discipline.
     RngDiscipline,
-    /// L7: every horizon-source variant has a post site and a dispatch arm.
-    HorizonSourceExhaustiveness,
 }
 
 impl Rule {
@@ -60,9 +55,7 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::PanicPolicy => "panic-policy",
             Rule::StatsExhaustiveness => "stats-exhaustiveness",
-            Rule::HorizonProtocol => "horizon-protocol",
             Rule::RngDiscipline => "rng-discipline",
-            Rule::HorizonSourceExhaustiveness => "horizon-source-exhaustiveness",
         }
     }
 
@@ -72,14 +65,12 @@ impl Rule {
     }
 
     /// All rules, for iteration in reports.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 5] = [
         Rule::ClockDomain,
         Rule::Determinism,
         Rule::PanicPolicy,
         Rule::StatsExhaustiveness,
-        Rule::HorizonProtocol,
         Rule::RngDiscipline,
-        Rule::HorizonSourceExhaustiveness,
     ];
 }
 
@@ -112,7 +103,7 @@ impl fmt::Display for Violation {
 /// Lints a single source text as if it lived at `rel_path` inside the
 /// workspace. Rule scoping (which crates each rule applies to, the
 /// `time.rs`/`clock.rs` exemption, test-file paths) follows the same logic
-/// as the workspace runner. Cross-file checks (L4, L7) only see this one
+/// as the workspace runner. The cross-file check (L4) only sees this one
 /// file.
 ///
 /// This is the entry point the fixture tests drive.

@@ -18,7 +18,7 @@ OPTIONS:
     --baseline <FILE>   Baseline path (default: <root>/lint-baseline.toml)
     --write-baseline    Rewrite the baseline to cover current violations
     --list              Print every violation, including baselined ones
-    --format <FMT>      Output format: text (default), json, or github
+    --format <FMT>      Output format: text (default) or github
                         (GitHub Actions `::error` annotations)
     -h, --help          Show this help
 ";
@@ -28,9 +28,6 @@ OPTIONS:
 enum Format {
     /// Human-readable lines plus a summary (the default).
     Text,
-    /// One JSON document with every violation, the baseline diff, and
-    /// per-rule counts — for tooling that ingests the whole report.
-    Json,
     /// GitHub Actions workflow commands: one `::error` annotation per
     /// fresh violation or stale baseline entry, so CI failures land as
     /// inline PR annotations.
@@ -82,10 +79,9 @@ fn main() -> ExitCode {
             "--list" => list = true,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("github") => format = Format::Github,
                 Some(other) => {
-                    eprintln!("--format must be text, json, or github, got `{other}`\n{USAGE}");
+                    eprintln!("--format must be text or github, got `{other}`\n{USAGE}");
                     return ExitCode::from(2);
                 }
                 None => {
@@ -142,7 +138,6 @@ fn main() -> ExitCode {
 
     match format {
         Format::Text => print_text(&report, list),
-        Format::Json => print_json(&report),
         Format::Github => print_github(&report),
     }
 
@@ -184,66 +179,6 @@ fn print_text(report: &runner::Report, list: bool) {
         report.stale.len(),
         if report.stale.len() == 1 { "y" } else { "ies" },
     );
-}
-
-/// Escapes a string for a JSON string literal (the lint crate is
-/// dependency-free, so the document is rendered by hand).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One JSON document on stdout with every violation (`baselined`
-/// marking the suppressed ones), stale baseline entries, per-rule
-/// counts, and the overall verdict.
-fn print_json(report: &runner::Report) {
-    let fresh: std::collections::HashSet<(&str, u32, &str)> = report
-        .fresh
-        .iter()
-        .map(|v| (v.file.as_str(), v.line, v.rule.name()))
-        .collect();
-    let mut out = String::from("{\n  \"violations\": [");
-    for (i, v) in report.all.iter().enumerate() {
-        let baselined = !fresh.contains(&(v.file.as_str(), v.line, v.rule.name()));
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \
-             \"baselined\": {}}}",
-            v.rule.name(),
-            json_escape(&v.file),
-            v.line,
-            json_escape(&v.message),
-            baselined
-        ));
-    }
-    out.push_str("\n  ],\n  \"stale_baseline\": [");
-    for (i, e) in report.stale.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-            json_escape(&e.rule),
-            json_escape(&e.file),
-            e.line
-        ));
-    }
-    out.push_str("\n  ],\n  \"counts\": {");
-    for (i, (r, n)) in runner::counts(&report.all).iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{}\": {n}", r.name()));
-    }
-    out.push_str(&format!("\n  }},\n  \"clean\": {}\n}}", report.is_clean()));
-    println!("{out}");
 }
 
 /// Escapes the free-text (message) part of a GitHub Actions workflow

@@ -100,25 +100,18 @@ pub fn collect_idents(lx: &Lexed, excluded: &[bool]) -> Vec<(String, u32)> {
         .collect()
 }
 
-/// One `fn` item: name, visibility, receiver shape and body token span.
-/// Nested functions each get their own entry.
+/// One `fn` item: name and body token span. Nested functions each get
+/// their own entry.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
-    /// Line of the function's name token.
-    pub line: u32,
-    pub is_pub: bool,
-    /// Receiver is `&mut self` or owned `self`.
-    pub takes_mut_self: bool,
-    /// Receiver is shared `&self`.
-    pub takes_ref_self: bool,
     /// Inclusive token range `[open brace, close brace]` of the body;
     /// `start == end` for body-less items (trait signatures).
     pub body: (usize, usize),
 }
 
-/// Indexes every `fn` item in the token stream with its receiver shape
-/// and body span — the backbone of the method-granular rules (L5, L6).
+/// Indexes every `fn` item in the token stream with its body span — the
+/// backbone of the method-granular rule (L6).
 pub fn fn_items(toks: &[Tok]) -> Vec<FnItem> {
     let n = toks.len();
     let mut out = Vec::new();
@@ -129,21 +122,6 @@ pub fn fn_items(toks: &[Tok]) -> Vec<FnItem> {
         let name_tok = &toks[i + 1];
         if name_tok.kind != TokKind::Ident {
             continue; // `fn(u64) -> u64` pointer type, not an item
-        }
-        // Visibility: walk back over `pub`, `pub(crate)`, `const`, etc.
-        let mut is_pub = false;
-        let mut k = i;
-        while k > 0 {
-            k -= 1;
-            match toks[k].text.as_str() {
-                "pub" => {
-                    is_pub = true;
-                    break;
-                }
-                ")" | "(" | "crate" | "super" | "in" | "self" | "const" | "unsafe" | "async"
-                | "extern" => continue,
-                _ => break,
-            }
         }
         // Find the parameter list, skipping generics.
         let mut j = i + 2;
@@ -161,24 +139,6 @@ pub fn fn_items(toks: &[Tok]) -> Vec<FnItem> {
         if j >= n || toks[j].text != "(" {
             continue;
         }
-        // Receiver shape.
-        let mut r = j + 1;
-        let mut borrowed = false;
-        if r < n && toks[r].text == "&" {
-            borrowed = true;
-            r += 1;
-            if r < n && toks[r].kind == TokKind::Lifetime {
-                r += 1;
-            }
-        }
-        let mut is_mut = false;
-        if r < n && toks[r].text == "mut" {
-            is_mut = true;
-            r += 1;
-        }
-        let is_self = r < n && toks[r].text == "self";
-        let takes_mut_self = is_self && (is_mut || !borrowed);
-        let takes_ref_self = is_self && borrowed && !is_mut;
         // Close the parameter list, then scan (past the return type and
         // any where clause) to the body `{` or a `;`.
         let mut depth = 0i32;
@@ -221,10 +181,6 @@ pub fn fn_items(toks: &[Tok]) -> Vec<FnItem> {
         }
         out.push(FnItem {
             name: name_tok.text.clone(),
-            line: name_tok.line,
-            is_pub,
-            takes_mut_self,
-            takes_ref_self,
             body,
         });
     }

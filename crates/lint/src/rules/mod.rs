@@ -3,11 +3,11 @@
 //! Every rule implements [`LintRule`] over a shared per-file context
 //! ([`FileCtx`]): the runner lexes each workspace file once, computes its
 //! test spans once, and hands the same token stream to every rule whose
-//! scope matches — seven rules, one lexing pass, no duplicated boilerplate.
+//! scope matches — five rules, one lexing pass, no duplicated boilerplate.
 //! File-local rules return violations straight from
-//! [`LintRule::check_file`]; cross-file rules (L4 stats references, L7
-//! horizon-source occurrences) accumulate state there and emit from
-//! [`LintRule::finish`] after the walk.
+//! [`LintRule::check_file`]; the cross-file rule (L4 stats references)
+//! accumulates state there and emits from [`LintRule::finish`] after the
+//! walk.
 //!
 //! All rules skip test code: `#[cfg(test)]` modules, `#[test]`/`#[bench]`
 //! items, and whole files under `tests/`, `benches/` or `examples/` (the
@@ -26,24 +26,13 @@
 //! - **stats-exhaustiveness** (L4): every field of a `*Stats` struct must
 //!   be referenced at least twice outside its declaration — once to
 //!   accumulate and once to report/merge.
-//! - **horizon-protocol** (L5): in files that declare an `event_dirty`
-//!   flag, every public `&mut self` method that mutates hot simulation
-//!   state must raise the flag (or carry an explicit waiver documenting
-//!   why the mutation cannot move `next_event`), and pure observers
-//!   (`next_event`, `peek*`, `*_stats`) must take `&self` and never touch
-//!   dirty/post APIs.
 //! - **rng-discipline** (L6): `DetRng` values are constructed only through
 //!   named stream-derivation constructors, never cloned into two
 //!   consumers, and `skip(n)` appears only in span-replay code.
-//! - **horizon-source-exhaustiveness** (L7): every variant of a `*Source`
-//!   enum has a post/withdraw site and a pop-dispatch arm somewhere in the
-//!   simulation crates.
 
 pub mod clock_domain;
 mod common;
 pub mod determinism;
-pub mod horizon_protocol;
-pub mod horizon_source;
 pub mod panic_policy;
 pub mod rng_discipline;
 pub mod stats;
@@ -91,8 +80,6 @@ pub fn registry() -> Vec<Box<dyn LintRule>> {
         Box::new(determinism::Determinism),
         Box::new(panic_policy::PanicPolicy),
         Box::new(stats::StatsExhaustiveness::default()),
-        Box::new(horizon_protocol::HorizonProtocol),
         Box::new(rng_discipline::RngDiscipline),
-        Box::new(horizon_source::HorizonSourceExhaustiveness::default()),
     ]
 }

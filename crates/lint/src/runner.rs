@@ -29,10 +29,6 @@ const SIM_CRATES: &[&str] = &[
 /// cycle counts, clock periods and picoseconds convert into each other.
 const CLOCK_DOMAIN_EXEMPT: &[&str] = &["crates/engine/src/time.rs", "crates/engine/src/clock.rs"];
 
-/// Crates whose components carry `event_dirty` flags or consume them — the
-/// scope of the horizon-protocol rule.
-const HORIZON_CRATES: &[&str] = &["cache", "memctrl", "sim"];
-
 /// The one file allowed to construct rngs from raw seeds: the `DetRng`
 /// implementation itself.
 const RNG_DISCIPLINE_EXEMPT: &[&str] = &["crates/engine/src/rng.rs"];
@@ -46,9 +42,7 @@ pub struct Scope {
     pub check_stats: bool,
     /// Whether this file's identifiers count as references for L4.
     pub collect_idents: bool,
-    pub check_horizon_protocol: bool,
     pub check_rng_discipline: bool,
-    pub check_horizon_source: bool,
 }
 
 impl Scope {
@@ -59,9 +53,7 @@ impl Scope {
             || self.check_panic_policy
             || self.check_stats
             || self.collect_idents
-            || self.check_horizon_protocol
             || self.check_rng_discipline
-            || self.check_horizon_source
     }
 }
 
@@ -89,9 +81,7 @@ pub fn classify(rel_path: &str) -> Scope {
         check_panic_policy: sim,
         check_stats: true,
         collect_idents: true,
-        check_horizon_protocol: HORIZON_CRATES.contains(&crate_dir),
         check_rng_discipline: sim && !RNG_DISCIPLINE_EXEMPT.contains(&rel_path),
-        check_horizon_source: sim,
     }
 }
 
@@ -230,6 +220,6 @@ pub fn baseline_for(violations: &[Violation]) -> Baseline {
 }
 
 /// Per-rule counts for the summary line, in [`Rule::ALL`] order.
-pub fn counts(violations: &[Violation]) -> [(Rule, usize); 7] {
+pub fn counts(violations: &[Violation]) -> [(Rule, usize); Rule::ALL.len()] {
     Rule::ALL.map(|r| (r, violations.iter().filter(|v| v.rule == r).count()))
 }

@@ -408,137 +408,6 @@ fn violations_carry_file_line_and_sort_deterministically() {
     );
 }
 
-// ---------------------------------------------------------------- L5
-
-#[test]
-fn l5_flags_hot_mutation_without_dirty_raise() {
-    let src = "
-        pub struct Q { event_dirty: bool, depth: u64 }
-        impl Q {
-            pub fn push(&mut self, d: u64) { self.depth = d; }
-        }
-    ";
-    let vs = lint_source(SIM, src);
-    assert!(
-        vs.iter()
-            .any(|v| v.rule == Rule::HorizonProtocol && v.message.contains("`push`")),
-        "mutation without event_dirty must fire L5, got {vs:?}"
-    );
-}
-
-#[test]
-fn l5_clean_mutation_raising_dirty_passes() {
-    let src = "
-        pub struct Q { event_dirty: bool, depth: u64 }
-        impl Q {
-            pub fn push(&mut self, d: u64) {
-                self.depth = d;
-                self.event_dirty = true;
-            }
-            pub fn next_event(&self) -> Option<SimTime> { None }
-        }
-    ";
-    assert!(!rules_fired(src).contains(&Rule::HorizonProtocol));
-}
-
-#[test]
-fn l5_flags_impure_observer() {
-    let src = "
-        pub struct Q { event_dirty: bool, depth: u64 }
-        impl Q {
-            pub fn next_event(&mut self) -> Option<SimTime> { None }
-        }
-    ";
-    let vs = lint_source(SIM, src);
-    assert!(
-        vs.iter().any(|v| v.rule == Rule::HorizonProtocol
-            && v.message.contains("observer `next_event`")),
-        "&mut self observer must fire L5, got {vs:?}"
-    );
-}
-
-#[test]
-fn l5_flags_observer_touching_dirty_api() {
-    let src = "
-        pub struct Q { event_dirty: bool, depth: u64 }
-        impl Q {
-            pub fn peek_head(&self) -> bool { self.event_dirty }
-        }
-    ";
-    let vs = lint_source(SIM, src);
-    assert!(
-        vs.iter()
-            .any(|v| v.rule == Rule::HorizonProtocol && v.message.contains("dirty/post APIs")),
-        "observer reading dirty state must fire L5, got {vs:?}"
-    );
-}
-
-#[test]
-fn l5_allow_comment_waives() {
-    let src = "
-        pub struct Q { event_dirty: bool, depth: u64 }
-        impl Q {
-            // mellow-lint: allow(horizon-protocol) -- output pop, never moves the horizon
-            pub fn pop_out(&mut self, d: u64) { self.depth = d; }
-        }
-    ";
-    assert!(!rules_fired(src).contains(&Rule::HorizonProtocol));
-}
-
-#[test]
-fn l5_skips_files_without_event_dirty_state() {
-    // Same mutating shape, but the type carries no event-dirty flag —
-    // the protocol does not apply.
-    let src = "
-        pub struct Q { depth: u64 }
-        impl Q {
-            pub fn push(&mut self, d: u64) { self.depth = d; }
-        }
-    ";
-    assert!(!rules_fired(src).contains(&Rule::HorizonProtocol));
-}
-
-#[test]
-fn l5_covers_scrubber_dirty_raise_sites() {
-    // The scrub engine's visit path moves the controller's horizon
-    // (`next_scrub_at` feeds `compute_next_actionable`), so a visit
-    // that forgets to raise `event_dirty` would let the event kernel
-    // sleep through the next due scrub — exactly the bug class L5
-    // mechanizes. A mutating visit without the raise must fire; the
-    // raised version and a pure `scrub_stats` accessor must pass, and
-    // an `&mut self` stats accessor must fire as an impure observer.
-    let bad = "
-        pub struct Ctrl { event_dirty: bool, next_scrub_at: u64 }
-        impl Ctrl {
-            pub fn scrub_visit(&mut self, now: u64) { self.next_scrub_at = now + 200; }
-            pub fn scrub_stats(&mut self) -> u64 { self.next_scrub_at }
-        }
-    ";
-    let vs = lint_source(SIM, bad);
-    assert!(
-        vs.iter()
-            .any(|v| v.rule == Rule::HorizonProtocol && v.message.contains("`scrub_visit`")),
-        "scrub visit without event_dirty must fire L5, got {vs:?}"
-    );
-    assert!(
-        vs.iter().any(
-            |v| v.rule == Rule::HorizonProtocol && v.message.contains("observer `scrub_stats`")
-        ),
-        "&mut self scrub_stats accessor must fire L5, got {vs:?}"
-    );
-    let good = "
-        pub struct Ctrl { event_dirty: bool, next_scrub_at: u64 }
-        impl Ctrl {
-            pub fn scrub_visit(&mut self, now: u64) {
-                self.next_scrub_at = now + 200;
-                self.event_dirty = true;
-            }
-            pub fn scrub_stats(&self) -> u64 { self.next_scrub_at }
-        }
-    ";
-    assert!(!rules_fired(good).contains(&Rule::HorizonProtocol));
-}
-
 // ---------------------------------------------------------------- L6
 
 #[test]
@@ -599,72 +468,4 @@ fn l6_exempts_the_rng_module_itself() {
         lint_source("crates/engine/src/rng.rs", src).is_empty(),
         "the DetRng implementation is the sanctioned construction point"
     );
-}
-
-// ---------------------------------------------------------------- L7
-
-#[test]
-fn l7_flags_unposted_and_undispatched_variants() {
-    // `Beta` is dispatched but never posted; `Gamma` is posted but has
-    // no dispatch arm.
-    let src = "
-        pub enum TickSource { Alpha, Beta, Gamma }
-        impl Kernel {
-            fn refresh(&mut self, t: SimTime) {
-                self.queue.post(TickSource::Alpha, t);
-                self.queue.post(TickSource::Gamma, t);
-            }
-            fn advance(&mut self, s: TickSource) {
-                match s {
-                    TickSource::Alpha => self.wake_alpha(),
-                    TickSource::Beta => self.wake_beta(),
-                    _ => {}
-                }
-            }
-        }
-    ";
-    let vs = lint_source(SIM, src);
-    assert!(
-        vs.iter()
-            .any(|v| v.rule == Rule::HorizonSourceExhaustiveness
-                && v.message.contains("`TickSource::Beta` has no post site")),
-        "unposted Beta must fire L7, got {vs:?}"
-    );
-    assert!(
-        vs.iter()
-            .any(|v| v.rule == Rule::HorizonSourceExhaustiveness
-                && v.message
-                    .contains("`TickSource::Gamma` has no pop-dispatch arm")),
-        "undispatched Gamma must fire L7, got {vs:?}"
-    );
-    assert!(
-        !vs.iter().any(|v| v.message.contains("TickSource::Alpha")),
-        "Alpha is posted and dispatched, got {vs:?}"
-    );
-}
-
-#[test]
-fn l7_clean_covered_source_enum_passes() {
-    let src = "
-        pub enum TickSource { Alpha, Beta }
-        impl Kernel {
-            fn refresh(&mut self, t: SimTime) {
-                self.queue.post(TickSource::Alpha, t);
-                self.queue.post(TickSource::Beta, t);
-            }
-            fn advance(&mut self, s: TickSource) {
-                match s {
-                    TickSource::Alpha => self.wake_alpha(),
-                    TickSource::Beta => self.wake_beta(),
-                }
-            }
-        }
-    ";
-    assert!(!rules_fired(src).contains(&Rule::HorizonSourceExhaustiveness));
-}
-
-#[test]
-fn l7_ignores_non_source_enums() {
-    let src = "pub enum Mode { Fast, Slow }";
-    assert!(!rules_fired(src).contains(&Rule::HorizonSourceExhaustiveness));
 }

@@ -51,7 +51,7 @@ fn check_invariants(src: &str) -> Result<(), String> {
         return Err(format!("double lex disagrees on {src:?}"));
     }
     // The rules built on the stream must not panic either, on any
-    // scope (a sim-crate path exercises all seven).
+    // scope (a sim-crate path exercises all five).
     let _ = lint_source("crates/memctrl/src/fuzz.rs", src);
     let _ = lint_source("crates/engine/src/fuzz.rs", src);
     Ok(())
@@ -63,9 +63,9 @@ fn check_invariants(src: &str) -> Result<(), String> {
 const FRAGMENTS: &[&str] = &[
     "fn",
     "self",
-    "event_dirty",
+    "HashMap",
     "DetRng",
-    "TickSource",
+    "CtrlStats",
     "'a",
     "'x'",
     "'\\''",

@@ -271,14 +271,6 @@ pub struct Controller {
     /// `tick` fast-paths such cycles. Reset to `ZERO` whenever a request
     /// is accepted.
     next_actionable: SimTime,
-    /// Raised whenever state affecting [`next_event`](Self::next_event)
-    /// may have changed; the event kernel re-queries the horizon only
-    /// when [`take_event_dirty`](Self::take_event_dirty) reports it.
-    event_dirty: bool,
-    /// Sites that raised the flag since the kernel last drained them;
-    /// consumed by the sanitizer for forbidden-site attribution.
-    #[cfg(feature = "sanitize")]
-    dirty_sites: Vec<&'static str>,
 }
 
 impl Controller {
@@ -326,9 +318,6 @@ impl Controller {
             next_serial: 0,
             rr_start: 0,
             next_actionable: SimTime::ZERO,
-            event_dirty: true,
-            #[cfg(feature = "sanitize")]
-            dirty_sites: Vec::new(),
             policy,
             endurance,
             cancel_wear,
@@ -338,7 +327,6 @@ impl Controller {
 
     /// Enables per-block wear tracking (small configurations only: the
     /// table holds one `f64` per memory block).
-    // mellow-lint: allow(horizon-protocol) -- setup-time rebuild (asserts zero wear); the ledger never feeds next_event
     pub fn enable_block_tracking(&mut self) {
         // The leveler's full physical space (e.g. Start-Gap's gap spare).
         let blocks = self.leveler.physical_blocks_per_bank();
@@ -415,7 +403,6 @@ impl Controller {
                 .record(end.saturating_since(now).as_ns());
             self.forwarded_pending.push_back((end, line));
             self.next_actionable = SimTime::ZERO;
-            self.raise_dirty("try_read");
             return true;
         }
         if self.queues.read_len() >= self.cfg.read_queue_cap {
@@ -425,7 +412,6 @@ impl Controller {
         self.queues.push_read(QueuedReq::new(line, mapping, now));
         self.stats.reads_accepted += 1;
         self.next_actionable = SimTime::ZERO;
-        self.raise_dirty("try_read");
         true
     }
 
@@ -440,7 +426,6 @@ impl Controller {
             .push_write(QueuedReq::new(line, self.cfg.map_line(line), now));
         self.stats.demand_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
-        self.raise_dirty("try_write");
         true
     }
 
@@ -463,11 +448,11 @@ impl Controller {
             .push_eager(QueuedReq::new(line, self.cfg.map_line(line), now));
         self.stats.eager_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
-        self.raise_dirty("try_eager");
     }
 
-    /// The controller's next-event hook for the system's event kernel:
-    /// the earliest time a future [`tick`](Self::tick) could do
+    /// The controller's next-event hook, which the system's event kernel
+    /// reads fresh on every jump (aligning it to the next memory-clock
+    /// edge): the earliest time a future [`tick`](Self::tick) could do
     /// more than rotate the round-robin origin, or `None` when no
     /// future tick can act without new input (every `try_read`/
     /// `try_write`/`try_eager` resets the horizon to `ZERO`).
@@ -490,7 +475,6 @@ impl Controller {
     /// Batch-applies `edges` skipped memory-clock edges on which
     /// `tick`'s fast path would have run: each rotates the round-robin
     /// origin once and changes nothing else.
-    // mellow-lint: allow(horizon-protocol) -- closed-form idle replay: rotating the rr origin leaves next_actionable unchanged
     pub fn fast_forward_idle(&mut self, edges: MemCycles) {
         let n = self.banks.len() as u64;
         self.rr_start = ((self.rr_start as u64 + edges.count() % n) % n) as usize;
@@ -498,51 +482,16 @@ impl Controller {
 
     /// Removes and returns the next completed read's line address.
     pub fn pop_read_done(&mut self) -> Option<u64> {
-        let line = self.read_done.pop_front();
-        if line.is_some() {
-            self.raise_dirty("pop_read_done");
-        }
-        line
+        self.read_done.pop_front()
     }
 
-    /// Returns and clears the event-dirty flag: whether any state change
-    /// since the last call may have moved [`next_event`](Self::next_event).
-    /// The event kernel skips re-querying the horizon while this is
-    /// `false`.
+    /// Whether [`next_event`](Self::next_event) may have moved since the
+    /// last call: always `true`. The system's event kernel reads the
+    /// horizon fresh on every jump, so the controller tracks no changes;
+    /// a caller that still caches horizons re-queries every time, which
+    /// is always correct.
     pub fn take_event_dirty(&mut self) -> bool {
-        std::mem::replace(&mut self.event_dirty, false)
-    }
-
-    /// Raises the event-dirty flag, attributing the raise to `site` when
-    /// the sanitizer is compiled in.
-    fn raise_dirty(&mut self, site: &'static str) {
-        self.event_dirty = true;
-        #[cfg(feature = "sanitize")]
-        self.dirty_sites.push(site);
-        #[cfg(not(feature = "sanitize"))]
-        let _ = site;
-    }
-
-    /// Drains the sites that raised the dirty flag since the last drain.
-    #[cfg(feature = "sanitize")]
-    pub fn take_dirty_sites(&mut self) -> Vec<&'static str> {
-        std::mem::take(&mut self.dirty_sites)
-    }
-
-    /// Test hook: raises the dirty flag from an arbitrary `site`, for
-    /// sanitizer violation-injection tests.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_raise_dirty(&mut self, site: &'static str) {
-        self.raise_dirty(site);
-    }
-
-    /// Test hook: suppresses a pending dirty flag (and its sites) so a
-    /// horizon-moving mutation goes unreported — the late-wake violation
-    /// the sanitizer must catch.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_clear_dirty(&mut self) {
-        self.event_dirty = false;
-        self.dirty_sites.clear();
+        true
     }
 
     fn alloc_serial(&mut self) -> u64 {
@@ -553,7 +502,6 @@ impl Controller {
 
     /// Advances the controller to memory-clock edge `now`, skipping
     /// the work of any edge before the next actionable time.
-    // mellow-lint: allow(horizon-protocol) -- fast path only rotates the rr origin, leaving next_actionable unchanged; every other edge raises the flag in tick_full
     pub fn tick(&mut self, now: SimTime) {
         if now < self.next_actionable {
             // Nothing can act yet. Keep round-robin fairness identical
@@ -577,7 +525,6 @@ impl Controller {
         self.cancel_writes_for_reads(now);
         let tfaw_blocked = self.issue(now);
         self.next_actionable = self.compute_next_actionable(now, tfaw_blocked);
-        self.raise_dirty("tick");
     }
 
     /// The earliest time a future tick could act given current state —
@@ -1256,7 +1203,6 @@ impl Controller {
             self.next_period_at = now + qc.sample_period;
         }
         self.next_actionable = SimTime::ZERO;
-        self.raise_dirty("reset_stats");
     }
 }
 

@@ -3,50 +3,8 @@
 use crate::{Metrics, SystemConfig};
 use mellow_cache::{line_of, AccessId, Cache};
 use mellow_cpu::{Core, CoreStall, ReqId, TraceSource};
-#[cfg(feature = "sanitize")]
-use mellow_engine::sanitize::Sanitizer;
-use mellow_engine::{CoreCycles, DetRng, HorizonQueue, SimTime};
+use mellow_engine::{CoreCycles, DetRng, SimTime};
 use mellow_memctrl::Controller;
-
-/// Horizon sources for the event kernel's [`HorizonQueue`]: each
-/// component (plus the utility sampler) owns one queue slot. The lint
-/// pass `horizon-source-exhaustiveness` checks that every variant here
-/// has a post site in [`System::refresh_horizons`] and a dispatch arm in
-/// [`System::advance_event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HorizonSource {
-    /// The utility-monitor sampling boundary (always live).
-    Sample,
-    /// The L1 cache's next input/transfer head coming due.
-    L1,
-    /// The L2 cache's next input/transfer head coming due.
-    L2,
-    /// The last-level cache's next input/transfer head coming due.
-    Llc,
-    /// The memory controller's next actionable memory-clock edge.
-    Ctrl,
-}
-
-impl HorizonSource {
-    /// Every source, in queue-slot order.
-    pub const ALL: [HorizonSource; 5] = [
-        HorizonSource::Sample,
-        HorizonSource::L1,
-        HorizonSource::L2,
-        HorizonSource::Llc,
-        HorizonSource::Ctrl,
-    ];
-
-    /// This source's [`HorizonQueue`] slot.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Inverse of [`index`](Self::index).
-    pub fn from_index(i: usize) -> HorizonSource {
-        Self::ALL[i]
-    }
-}
 
 /// Drains one output queue into a consumer: items transfer in order
 /// until `try_accept` reports the consumer full (backpressure). `peek`
@@ -79,8 +37,8 @@ fn drain<S, T>(
 /// cycle (400 MHz), probing for Eager Mellow Write candidates while the
 /// LLC is idle, and sampling the utility monitor every `T_sample`.
 /// [`run_instructions`](Self::run_instructions) additionally jumps
-/// over provably idle spans using the event kernel's horizon queue
-/// (see DESIGN.md §5 and §12), producing bit-identical results to the
+/// over provably idle spans to the earliest component horizon (see
+/// DESIGN.md §5 and §12), producing bit-identical results to the
 /// reference cycle loop.
 ///
 /// Most users should drive it through
@@ -94,20 +52,12 @@ pub struct System {
     llc: Cache,
     ctrl: Controller,
     eager_rng: DetRng,
-    /// Per-source event horizons for the event-kernel loop: components
-    /// post "my next work is at `t`" when their state changes and
-    /// [`advance_event`](Self::advance_event) pops the earliest instead
-    /// of polling every component.
-    horizons: HorizonQueue,
     cycle: CoreCycles,
     now: SimTime,
     measure_start: SimTime,
     next_sample_at: SimTime,
     /// Core cycles per memory cycle (5 for 2 GHz / 400 MHz).
     mem_divisor: u64,
-    /// The mellow-san shadow-state checker (see `mellow_engine::sanitize`).
-    #[cfg(feature = "sanitize")]
-    san: Sanitizer,
 }
 
 impl std::fmt::Debug for System {
@@ -150,32 +100,6 @@ impl System {
         }
         let eager_rng = DetRng::seed_from(cfg.seed).derive(0x000E_A6EE);
         let next_sample_at = SimTime::ZERO + cfg.sample_period();
-        #[cfg(feature = "sanitize")]
-        let san = {
-            // Sites the protocol forbids from raising the dirty flag:
-            // output pops, stats resets and closed-form fast-forwards
-            // cannot move a horizon (DESIGN §12), so a raise from one of
-            // them masks real protocol bugs behind spurious refreshes.
-            const CACHE_FORBIDDEN: &[&str] = &[
-                "pop_completion",
-                "pop_fill_up",
-                "pop_miss_down",
-                "pop_writeback_down",
-                "reset_stats",
-                "fast_forward_stalled",
-                "fast_forward_rejected_inputs",
-            ];
-            let mut san = Sanitizer::new(
-                &["sample", "l1", "l2", "llc", "ctrl"],
-                Some(HorizonSource::Ctrl.index()),
-                cfg.mem.clock.period(),
-            );
-            for src in [HorizonSource::L1, HorizonSource::L2, HorizonSource::Llc] {
-                san.set_forbidden_sites(src.index(), CACHE_FORBIDDEN);
-            }
-            san.set_forbidden_sites(HorizonSource::Ctrl.index(), &["fast_forward_idle"]);
-            san
-        };
         System {
             core,
             l1,
@@ -183,14 +107,11 @@ impl System {
             llc,
             ctrl,
             eager_rng,
-            horizons: HorizonQueue::new(HorizonSource::ALL.len()),
             cycle: CoreCycles::ZERO,
             now: SimTime::ZERO,
             measure_start: SimTime::ZERO,
             next_sample_at,
             mem_divisor: mem_ps / core_ps,
-            #[cfg(feature = "sanitize")]
-            san,
             cfg,
         }
     }
@@ -309,173 +230,26 @@ impl System {
         }
     }
 
-    /// Re-posts the horizon of every component whose event-affecting
-    /// state changed since the last call (the event-dirty protocol:
-    /// each component raises a flag on any mutation that can move its
-    /// `next_event`, and is re-queried only when the flag is set). The
-    /// sampler has no flag; its boundary is re-posted unconditionally —
-    /// posting an unchanged horizon is a no-op.
-    fn refresh_horizons(&mut self) {
-        let now = self.now;
-        self.post_horizon(HorizonSource::Sample, Some(self.next_sample_at));
-        let l1_dirty = self.l1.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.l1.take_dirty_sites();
-            let due = self.l1.next_event(now);
-            self.sanitize_component(HorizonSource::L1, l1_dirty, &sites, due);
-        }
-        if l1_dirty {
-            let due = self.l1.next_event(now);
-            self.post_horizon(HorizonSource::L1, due);
-        }
-        let l2_dirty = self.l2.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.l2.take_dirty_sites();
-            let due = self.l2.next_event(now);
-            self.sanitize_component(HorizonSource::L2, l2_dirty, &sites, due);
-        }
-        if l2_dirty {
-            let due = self.l2.next_event(now);
-            self.post_horizon(HorizonSource::L2, due);
-        }
-        let llc_dirty = self.llc.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.llc.take_dirty_sites();
-            let due = self.llc.next_event(now);
-            self.sanitize_component(HorizonSource::Llc, llc_dirty, &sites, due);
-        }
-        if llc_dirty {
-            let due = self.llc.next_event(now);
-            self.post_horizon(HorizonSource::Llc, due);
-        }
-        let ctrl_dirty = self.ctrl.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.ctrl.take_dirty_sites();
-            let due = self.ctrl.next_event().map(|t| self.ctrl_edge(t));
-            self.sanitize_component(HorizonSource::Ctrl, ctrl_dirty, &sites, due);
-        }
-        if ctrl_dirty {
-            // The controller acts only on memory-clock edges, so its
-            // horizon posts pre-aligned to the first edge at or past
-            // the actionable time (see [`ctrl_edge`](Self::ctrl_edge)).
-            // `next_multiple_of` distributes over `max`, so the
-            // per-jump "no earlier than the next cycle" clamp can move
-            // to pop time (`ctrl_floor` in
-            // [`advance_event`](Self::advance_event)) and the posted
-            // horizon stays valid across jumps.
-            let due = self.ctrl.next_event().map(|t| self.ctrl_edge(t));
-            self.post_horizon(HorizonSource::Ctrl, due);
-        }
-    }
-
-    /// The first whole memory-clock edge at or after `t` — the
-    /// alignment every controller horizon posts at.
-    fn ctrl_edge(&self, t: SimTime) -> SimTime {
-        CoreCycles::at_or_after(t, &self.cfg.core_clock)
-            .next_multiple_of(self.mem_divisor)
-            .edge(&self.cfg.core_clock)
-    }
-
-    /// Posts (or, for `None`, withdraws) one source's horizon — the
-    /// single funnel between component `next_event` answers and the
-    /// [`HorizonQueue`], so the sanitizer can shadow every transition.
-    fn post_horizon(&mut self, src: HorizonSource, due: Option<SimTime>) {
-        #[cfg(feature = "sanitize")]
-        self.san.record_post(self.cycle, self.now, src.index(), due);
-        match due {
-            Some(t) => self.horizons.post(src.index(), t),
-            None => self.horizons.withdraw(src.index()),
-        }
-    }
-
-    /// Feeds one component's refresh outcome to the sanitizer: a dirty
-    /// component accounts for its raising sites, a clean one is checked
-    /// for a horizon that silently moved earlier (a late wake).
-    #[cfg(feature = "sanitize")]
-    fn sanitize_component(
-        &mut self,
-        src: HorizonSource,
-        dirty: bool,
-        sites: &[&'static str],
-        due: Option<SimTime>,
-    ) {
-        if dirty {
-            for site in sites {
-                self.san
-                    .record_dirty(self.cycle, self.now, src.index(), site);
-            }
-        } else {
-            self.san
-                .check_posted_horizon(self.cycle, self.now, src.index(), due);
-        }
-    }
-
-    /// Empties every component's dirty-site log unread.
-    #[cfg(feature = "sanitize")]
-    fn discard_dirty_sites(&mut self) {
-        self.l1.take_dirty_sites();
-        self.l2.take_dirty_sites();
-        self.llc.take_dirty_sites();
-        self.ctrl.take_dirty_sites();
-    }
-
-    /// Test hook: runs one horizon refresh under the sanitizer.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_refresh(&mut self) {
-        self.refresh_horizons();
-    }
-
-    /// Test hook: injects a late wake — pushes new earliest work into
-    /// the L1, then suppresses the dirty flag the push raised, leaving a
-    /// clean component whose true horizon moved earlier than its posted
-    /// one. The next [`sanitize_refresh`](Self::sanitize_refresh) must
-    /// panic.
-    #[cfg(feature = "sanitize")]
-    pub fn inject_late_horizon(&mut self) {
-        self.refresh_horizons();
-        self.l1.try_demand(AccessId(u64::MAX), 0, false, self.now);
-        self.l1.sanitize_clear_dirty();
-    }
-
-    /// Test hook: raises the L1 dirty flag from a site the protocol
-    /// forbids from raising it. The next
-    /// [`sanitize_refresh`](Self::sanitize_refresh) must panic.
-    #[cfg(feature = "sanitize")]
-    pub fn inject_forbidden_dirty_site(&mut self) {
-        self.l1.sanitize_raise_dirty("pop_completion");
-    }
-
-    /// Test hook: posts the controller horizon one picosecond off a
-    /// memory-clock edge. Panics immediately.
-    #[cfg(feature = "sanitize")]
-    pub fn inject_misaligned_ctrl_horizon(&mut self) {
-        let due = self.now + mellow_engine::Duration::from_ps(1);
-        self.post_horizon(HorizonSource::Ctrl, Some(due));
-    }
-
     /// The event kernel's jump: moves `cycle`/`now` to one cycle before
-    /// the earliest posted horizon, replaying the per-cycle side effects
-    /// the skipped no-op ticks would have had. Called after a completed
+    /// the earliest horizon, replaying the per-cycle side effects the
+    /// skipped no-op ticks would have had. Called after a completed
     /// [`tick`](Self::tick); does nothing unless every component is
     /// provably idle past the next cycle.
     ///
-    /// The skipped span is a no-op by construction — each component's
-    /// `next_event` hook promises it cannot act before its horizon, the
-    /// [`HorizonQueue`] re-asks only components that flagged a state
-    /// change, and new input can only originate from a component that
-    /// acts. The remaining per-cycle effects are replayed exactly: the
-    /// blocked core's cycle/stall counters (and its one doomed issue
-    /// attempt per cycle against a full L1), MSHR-stall ticks, the
-    /// controller's round-robin rotation on skipped memory-clock edges,
-    /// and one eager-probe RNG draw per idle-LLC cycle, in closed form
-    /// by [`Cache::eager_probe_span`]. The sample horizon clamps the
-    /// jump, so no `T_sample` period is merged or skipped.
+    /// Every call reads the five horizons fresh: the sample boundary,
+    /// each cache's [`Cache::next_event`] and the controller's
+    /// [`Controller::next_event`]. The skipped span is a no-op by
+    /// construction — each component's `next_event` hook promises it
+    /// cannot act before its horizon, and new input can only originate
+    /// from a component that acts. The remaining per-cycle effects are
+    /// replayed exactly: the blocked core's cycle/stall counters (and
+    /// its one doomed issue attempt per cycle against a full L1),
+    /// MSHR-stall ticks, the controller's round-robin rotation on
+    /// skipped memory-clock edges, and one eager-probe RNG draw per
+    /// idle-LLC cycle, in closed form by [`Cache::eager_probe_span`].
+    /// The sample horizon clamps the jump, so no `T_sample` period is
+    /// merged or skipped.
     fn advance_event(&mut self) {
-        self.refresh_horizons();
         let stall = self.core.stall();
         match stall {
             CoreStall::Active => return,
@@ -493,42 +267,27 @@ impl System {
             return;
         }
 
+        let now = self.now;
         let clock = self.cfg.core_clock;
         let cycle_at = |t: SimTime| CoreCycles::at_or_after(t, &clock);
-        // Pop horizons in raw-time order until the next raw horizon can
-        // no longer beat the best effective cycle (raw time lower-bounds
-        // the effective cycle), then re-post the inspected entries.
+        // The controller acts only on memory-clock edges, and no earlier
+        // than the first edge after the current cycle.
         let ctrl_floor = (self.cycle + CoreCycles::ONE).next_multiple_of(self.mem_divisor);
-        let mut inspected = [(SimTime::ZERO, 0usize); HorizonSource::ALL.len()];
-        let mut count = 0;
-        let mut best: Option<CoreCycles> = None;
-        while let Some((due, src)) = self.horizons.pop_earliest() {
-            #[cfg(feature = "sanitize")]
-            self.san.record_pop(self.cycle, self.now, src, due);
-            inspected[count] = (due, src);
-            count += 1;
-            let lower = cycle_at(due);
-            if best.is_some_and(|b| lower >= b) {
-                break;
-            }
-            // The pop dispatch: core-clocked sources act at their posted
-            // instant; the controller additionally clamps to the first
-            // whole memory-clock edge after the current cycle.
-            let eff = match HorizonSource::from_index(src) {
-                HorizonSource::Sample
-                | HorizonSource::L1
-                | HorizonSource::L2
-                | HorizonSource::Llc => lower,
-                HorizonSource::Ctrl => lower.max(ctrl_floor),
-            };
-            best = Some(best.map_or(eff, |b| b.min(eff)));
-        }
-        for &(due, src) in &inspected[..count] {
-            self.horizons.repost(src, due);
-        }
-        let Some(next) = best else {
-            return; // unreachable: the sample horizon is always live
-        };
+        let ctrl = self.ctrl.next_event().map(|t| {
+            cycle_at(t)
+                .next_multiple_of(self.mem_divisor)
+                .max(ctrl_floor)
+        });
+        let next = [
+            self.l1.next_event(now),
+            self.l2.next_event(now),
+            self.llc.next_event(now),
+        ]
+        .into_iter()
+        .flatten()
+        .map(cycle_at)
+        .chain(ctrl)
+        .fold(cycle_at(self.next_sample_at), CoreCycles::min);
         if next <= self.cycle + CoreCycles::ONE {
             return; // something acts on the very next cycle
         }
@@ -572,10 +331,11 @@ impl System {
     ///
     /// By default the event kernel drives the run: after each tick,
     /// provably idle spans are jumped directly to one cycle before the
-    /// earliest posted horizon — a cache input head coming due, the
+    /// earliest horizon — a cache input head coming due, the
     /// controller's actionable memory-clock edge, or the
-    /// utility-monitor sample boundary — batch-replaying the skipped
-    /// ticks' side effects (see `advance_event`). The reference loop,
+    /// utility-monitor sample boundary, each read fresh on every jump —
+    /// batch-replaying the skipped ticks' side effects (see
+    /// `advance_event`). The reference loop,
     /// [`SystemConfig::use_cycle_loop`], instead ticks every cycle and
     /// the controller in full, and produces bit-identical results; the
     /// equivalence tests pin it.
@@ -593,13 +353,6 @@ impl System {
             // instruction: the loops must exit at the same cycle.
             if self.core.retired_instructions() < target && !self.cfg.use_cycle_loop {
                 self.advance_event();
-            }
-            // Only the event kernel's horizon refresh drains the
-            // dirty-site logs, so the cycle loop drops them instead of
-            // letting them grow with the run.
-            #[cfg(feature = "sanitize")]
-            if self.cfg.use_cycle_loop {
-                self.discard_dirty_sites();
             }
             assert!(
                 self.cycle < cycle_cap,
@@ -764,43 +517,60 @@ mod tests {
         assert_loops_identical(WritePolicy::new(BasePolicy::BEMellow), 6, 30_000);
     }
 
-    #[cfg(feature = "sanitize")]
-    #[test]
-    fn cycle_loop_keeps_no_dirty_site_backlog() {
-        // Nothing refreshes horizons in the cycle loop, so unless the
-        // loop drops the logs every controller edge and cache mutation
-        // of the run stays queued (hundreds of thousands of entries
-        // here).
-        let mut cfg = scaled_config(WritePolicy::be_mellow_sc());
-        cfg.use_cycle_loop = true;
-        let mut sys = System::new(cfg, Synth::new(0xDECAF, 4));
-        sys.run_instructions(20_000);
-        let backlog = [
-            sys.l1.take_dirty_sites().len(),
-            sys.l2.take_dirty_sites().len(),
-            sys.llc.take_dirty_sites().len(),
-            sys.ctrl.take_dirty_sites().len(),
-        ];
-        assert_eq!(backlog, [0; 4], "L1, L2, LLC, controller");
-    }
-
     #[test]
     fn event_kernel_skips_cycles_on_a_stall_heavy_trace() {
-        // On independent random loads the core sits fully stalled most
-        // cycles, so the kernel must jump: drive the loop by hand and
-        // count iterations. With `advance_event` a no-op every
-        // iteration advances exactly one cycle and this fails.
-        let mut sys = System::new(scaled_config(WritePolicy::norm()), Synth::new(0xDECAF, 0));
-        let mut iterations = 0u64;
-        while sys.core().retired_instructions() < 20_000 {
-            sys.tick();
-            sys.advance_event();
-            iterations += 1;
+        // Drive the loop by hand, as `run_instructions` does, and pin
+        // the exact number of iterations over 30 k instructions. A
+        // kernel that wakes early still matches the cycle loop, so only
+        // this count notices it; with `advance_event` a no-op every
+        // iteration advances exactly one cycle.
+        fn iterations(cfg: SystemConfig, store_every: u64) -> u64 {
+            let target = 30_000;
+            let mut sys = System::new(cfg, Synth::new(0xDECAF, store_every));
+            let mut iterations = 0u64;
+            while sys.core().retired_instructions() < target {
+                sys.tick();
+                if sys.core().retired_instructions() < target {
+                    sys.advance_event();
+                }
+                iterations += 1;
+            }
+            assert!(
+                sys.cycle.count() > 2 * iterations,
+                "{} cycles in {iterations} loop iterations: the kernel barely skips",
+                sys.cycle.count()
+            );
+            iterations
         }
-        assert!(
-            sys.cycle.count() > 2 * iterations,
-            "{} cycles in {iterations} loop iterations: the kernel barely skips",
-            sys.cycle.count()
+        // A 1 MiB device with drift, a 200 ns scrub, faults, one retry
+        // and four spares: scrub visits and repair releases set the
+        // controller's horizon.
+        fn reliability(policy: WritePolicy) -> SystemConfig {
+            let mut c = scaled_config(policy);
+            c.mem.capacity_bytes = 1 << 20;
+            c.mem.retention.enabled = true;
+            c.mem.retention.base_retention = Duration::from_us(10);
+            c.mem.retention.drift_sigma = 0.3;
+            c.mem.retention.slow_write_boost = 2.0;
+            c.mem.retention.wear_sensitivity = 1.0;
+            c.mem.scrub_interval = Duration::from_ns(200);
+            c.mem.fault.enabled = true;
+            c.mem.fault.endurance_sigma = 0.25;
+            c.mem.fault.transient_rate = 0.02;
+            c.mem.max_write_retries = 1;
+            c.mem.set_spares_per_bank(4);
+            c
+        }
+        use mellow_core::BasePolicy;
+        let mellow_wq = WritePolicy::be_mellow_sc().with_wear_quota();
+        let be_mellow = WritePolicy::new(BasePolicy::BEMellow);
+        assert_eq!(iterations(scaled_config(WritePolicy::norm()), 0), 110_178);
+        assert_eq!(iterations(scaled_config(mellow_wq), 4), 128_301);
+        assert_eq!(iterations(scaled_config(be_mellow), 6), 122_282);
+        assert_eq!(iterations(reliability(WritePolicy::norm()), 3), 146_535);
+        assert_eq!(
+            iterations(reliability(WritePolicy::be_mellow_sc()), 3),
+            138_244
         );
     }
 }

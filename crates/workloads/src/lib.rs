@@ -38,10 +38,8 @@
 //! assert!(rec.instructions() > 0);
 //! ```
 
-mod recorded;
 mod spec;
 mod synth;
 
-pub use recorded::RecordedTrace;
 pub use spec::{AccessPattern, UnknownWorkload, WorkloadSpec};
 pub use synth::SyntheticWorkload;

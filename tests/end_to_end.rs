@@ -268,7 +268,7 @@ fn all_policies_run_all_workloads_scaled() {
 
 #[test]
 fn cycle_and_event_loops_produce_identical_metrics() {
-    // The event-queue kernel (the default loop) must be a pure
+    // The event kernel (the default loop) must be a pure
     // performance optimization: on every Table IV workload, a full
     // system run produces a bit-identical metrics row (stats, wear,
     // energy, IPC) under the event kernel and the one-cycle-at-a-time

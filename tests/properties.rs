@@ -476,13 +476,13 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
-    /// The event-queue kernel reproduces the reference cycle loop bit
+    /// The event kernel reproduces the reference cycle loop bit
     /// for bit under randomized system shapes: controller queue depths (and drain
     /// thresholds derived from them), eager policies, the memory-clock
     /// divisor, and the utility-monitor sample period. This is the
-    /// 256-case sweep guarding the event kernel's horizon bookkeeping
-    /// (stale-horizon withdrawal, pre-aligned controller posting, and
-    /// the closed-form eager-probe RNG replay).
+    /// 256-case sweep guarding the event kernel's jump target (the
+    /// controller horizon's edge alignment and floor) and the
+    /// closed-form eager-probe RNG replay.
     #[test]
     fn event_kernel_equivalent_under_random_configs(
         policy in arb_policy(),
