@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks for the simulator's hot paths.
 //!
 //! These measure the cost of the data structures the cycle loop leans
-//! on (LRU stacks, Start-Gap remapping, the utility monitor, timer
-//! queues, the controller tick) plus end-to-end simulated-instruction
-//! throughput of the wired system. They guard the simulator's own
-//! performance, not the paper's results — those come from the `figures`
-//! binary.
+//! on (the LLC's demand hit and eager-probe span, Start-Gap remapping,
+//! the utility monitor, timer queues, the controller tick) plus
+//! end-to-end simulated-instruction throughput of the wired system.
+//! They guard the simulator's own performance, not the paper's results
+//! — those come from the `figures` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mellow_cache::{AccessId, Cache, CacheConfig};
 use mellow_core::{UtilityMonitor, WritePolicy};
 use mellow_engine::{DetRng, SimTime, TimerQueue};
 use mellow_memctrl::{Controller, MemConfig};
@@ -16,21 +17,63 @@ use mellow_sim::Experiment;
 use mellow_workloads::WorkloadSpec;
 use std::hint::black_box;
 
-fn bench_lru(c: &mut Criterion) {
-    use mellow_cache::LruSet;
-    c.bench_function("lru_set_probe_touch_16way", |b| {
-        let mut set = LruSet::new(16);
-        for t in 0..16 {
-            set.insert(t);
+/// A paper-size LLC (2,048 sets × 16 ways) with Eager Mellow Writes on
+/// and every line resident. The LRU line of every 256th set is dirtied
+/// through `try_writeback`, so 8 sets hold a candidate, and the all-miss
+/// fill trains the eager position to 0. Returns the cache, its line
+/// count and the time of its last tick.
+fn eager_llc() -> (Cache, u64, SimTime) {
+    let cfg = CacheConfig::llc();
+    let lines = cfg.num_sets() * cfg.assoc as u64;
+    let step = cfg.hit_latency;
+    let mut llc = Cache::new(cfg);
+    llc.enable_eager();
+    let mut now = SimTime::ZERO;
+    for line in 0..lines {
+        llc.try_fetch(line, now);
+        now += step;
+        llc.tick(now);
+        if let Some(miss) = llc.pop_miss_down() {
+            llc.deliver_fill(miss, now);
         }
+        llc.pop_fill_up();
+    }
+    for set in (0..llc.config().num_sets()).step_by(256) {
+        llc.try_writeback(set, now);
+        now += step;
+        llc.tick(now);
+    }
+    assert!(llc.sample_utility().is_some_and(|p| p < 16));
+    (llc, lines, now)
+}
+
+fn bench_llc(c: &mut Criterion) {
+    let step = CacheConfig::llc().hit_latency;
+    c.bench_function("llc_demand_hit_2048x16", |b| {
+        let (mut llc, lines, mut now) = eager_llc();
         let mut i = 0u64;
         b.iter(|| {
-            let tag = i % 16;
             i += 1;
-            if set.probe(tag).is_some() {
-                set.touch(tag);
+            llc.try_demand(AccessId(i), i * 97 % lines, false, now);
+            now += step;
+            llc.tick(now);
+            black_box(llc.pop_completion())
+        });
+    });
+    // One idle span of 64 probes. A found candidate is re-dirtied by a
+    // writeback, so every span sees the same 8 candidate sets; about one
+    // span in five finds one, the rest walk all 64 draws.
+    c.bench_function("llc_eager_probe_span_64", |b| {
+        let (mut llc, _, mut now) = eager_llc();
+        let mut rng = DetRng::seed_from(5);
+        b.iter(|| {
+            let (probes, found) = llc.eager_probe_span(&mut rng, 64);
+            if let Some(line) = found {
+                llc.try_writeback(line, now);
+                now += step;
+                llc.tick(now);
             }
-            black_box(set.len())
+            black_box(probes)
         });
     });
 }
@@ -181,7 +224,7 @@ fn bench_sweep_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_lru,
+    bench_llc,
     bench_startgap,
     bench_monitor,
     bench_timer_queue,

@@ -1,6 +1,7 @@
 //! A timed, set-associative, write-back, write-allocate cache level.
 
-use crate::{AccessId, LruSet, MshrFile};
+use crate::store::TagStore;
+use crate::{AccessId, MshrFile};
 use mellow_core::UtilityMonitor;
 use mellow_engine::{CoreCycles, DetRng, Duration, SimTime};
 use std::collections::VecDeque;
@@ -12,7 +13,8 @@ pub struct CacheConfig {
     pub name: String,
     /// Total capacity in bytes.
     pub size_bytes: u64,
-    /// Ways per set.
+    /// Ways per set (at most 64, the width of the per-set line-state
+    /// masks).
     pub assoc: usize,
     /// Line size in bytes (64 throughout the paper).
     pub line_bytes: u64,
@@ -87,6 +89,18 @@ impl CacheConfig {
     fn validate(&self) {
         assert!(self.size_bytes > 0, "cache size must be non-zero");
         assert!(self.assoc > 0, "associativity must be non-zero");
+        assert!(
+            self.assoc <= 64,
+            "cache assoc must be at most 64, the width of the line-state masks"
+        );
+        assert!(
+            self.ports > 0,
+            "cache ports must be non-zero: a level with no lookup port never drains its input"
+        );
+        assert!(
+            self.input_capacity > 0,
+            "cache input_capacity must be non-zero: a level with no input slot accepts no request"
+        );
         assert!(
             self.line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -196,6 +210,14 @@ struct EagerState {
 /// [`eager_candidate`](Self::eager_candidate) which emits the next
 /// useless dirty line to write back eagerly.
 ///
+/// Every level keeps its lines in one flat tag store: `num_sets × assoc`
+/// tags, MRU first within each set, and two per-set bit masks, `dirty`
+/// and `eager_cleaned`, indexed by LRU position. An eager probe tests
+/// one word, the set's dirty mask against the useless positions, and a
+/// live count of the sets holding a candidate lets
+/// [`eager_probe_span`](Self::eager_probe_span) skip a span's draws
+/// when there is none.
+///
 /// # Examples
 ///
 /// ```
@@ -215,7 +237,7 @@ struct EagerState {
 pub struct Cache {
     cfg: CacheConfig,
     num_sets: u64,
-    sets: Vec<LruSet>,
+    store: TagStore,
     mshrs: MshrFile,
     input: VecDeque<Timed>,
     completions: VecDeque<AccessId>,
@@ -224,13 +246,6 @@ pub struct Cache {
     wb_down: VecDeque<u64>,
     eager: Option<EagerState>,
     stats: CacheStats,
-    /// Resident dirty lines, total and per set. Maintained at the three
-    /// dirty-flip sites (`mark_dirty`, eager clean, dirty eviction) so
-    /// [`eager_probe_span`](Self::eager_probe_span) can prove in O(1)
-    /// that a probe — or a whole span of probes — cannot find a
-    /// candidate (`LruSet::eager_candidate` requires a dirty line).
-    dirty_lines: u64,
-    set_dirty: Vec<u32>,
 }
 
 impl Cache {
@@ -242,11 +257,11 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
         let num_sets = cfg.num_sets();
-        let sets = (0..num_sets).map(|_| LruSet::new(cfg.assoc)).collect();
+        let store = TagStore::new(num_sets as usize, cfg.assoc);
         let mshrs = MshrFile::new(cfg.mshrs);
         Cache {
             num_sets,
-            sets,
+            store,
             mshrs,
             input: VecDeque::with_capacity(cfg.input_capacity),
             completions: VecDeque::new(),
@@ -255,8 +270,6 @@ impl Cache {
             wb_down: VecDeque::new(),
             eager: None,
             stats: CacheStats::default(),
-            dirty_lines: 0,
-            set_dirty: vec![0; num_sets as usize],
             cfg,
         }
     }
@@ -267,6 +280,8 @@ impl Cache {
         self.eager = Some(EagerState {
             monitor: UtilityMonitor::new(self.cfg.assoc),
         });
+        // A fresh monitor has no useless position yet.
+        self.store.set_eager_position(self.cfg.assoc);
     }
 
     /// Returns the configuration.
@@ -330,7 +345,7 @@ impl Cache {
         match head.msg {
             Incoming::Demand { line, .. } => {
                 let (set_idx, tag) = self.set_and_tag(line);
-                self.sets[set_idx].probe(tag).is_none()
+                self.store.probe(set_idx, tag).is_none()
                     && !self.mshrs.contains(line)
                     && self.mshrs.is_full()
             }
@@ -441,9 +456,9 @@ impl Cache {
             .mshrs
             .take(line)
             .expect("fill for line without outstanding MSHR");
-        self.install(line);
+        let (set_idx, pos) = self.install(line);
         if entry.any_store {
-            self.mark_dirty(line);
+            self.mark_dirty(set_idx, pos);
         }
         for id in entry.ids {
             self.completions.push_back(id);
@@ -454,38 +469,27 @@ impl Cache {
     }
 
     /// Installs `line` (clean, MRU) unless already present, handling the
-    /// victim.
-    fn install(&mut self, line: u64) {
+    /// victim. Returns the line's set and stack position.
+    fn install(&mut self, line: u64) -> (usize, usize) {
         let (set_idx, tag) = self.set_and_tag(line);
-        if self.sets[set_idx].probe(tag).is_some() {
-            return; // e.g. a writeback installed it while the fill was in flight
+        if let Some(pos) = self.store.probe(set_idx, tag) {
+            // e.g. a writeback installed it while the fill was in flight
+            return (set_idx, pos);
         }
-        if let Some(victim) = self.sets[set_idx].insert(tag) {
-            let victim_line = self.line_addr(set_idx, victim.tag);
-            if victim.dirty {
-                self.dirty_lines -= 1;
-                self.set_dirty[set_idx] -= 1;
+        if let Some((victim_tag, dirty, eager_cleaned)) = self.store.insert(set_idx, tag) {
+            if dirty {
                 self.stats.writebacks_out += 1;
-                self.wb_down.push_back(victim_line);
-            } else if victim.eager_cleaned {
+                self.wb_down.push_back(self.line_addr(set_idx, victim_tag));
+            } else if eager_cleaned {
                 self.stats.eager_saved_writebacks += 1;
             }
         }
+        (set_idx, 0)
     }
 
-    fn mark_dirty(&mut self, line: u64) {
-        let (set_idx, tag) = self.set_and_tag(line);
-        let state = self.sets[set_idx]
-            .state_mut(tag)
-            .expect("mark_dirty of absent line");
-        if state.eager_cleaned {
+    fn mark_dirty(&mut self, set_idx: usize, pos: usize) {
+        if self.store.mark_dirty(set_idx, pos) {
             self.stats.eager_wasted += 1;
-            state.eager_cleaned = false;
-        }
-        if !state.dirty {
-            state.dirty = true;
-            self.dirty_lines += 1;
-            self.set_dirty[set_idx] += 1;
         }
     }
 
@@ -517,13 +521,13 @@ impl Cache {
     /// Returns `false` when the demand cannot proceed (MSHR file full).
     fn process_demand(&mut self, id: Option<AccessId>, line: u64, is_store: bool) -> bool {
         let (set_idx, tag) = self.set_and_tag(line);
-        if let Some(pos) = self.sets[set_idx].probe(tag) {
+        if let Some(pos) = self.store.probe(set_idx, tag) {
             if let Some(e) = &mut self.eager {
                 e.monitor.record_hit(pos);
             }
-            self.sets[set_idx].touch(tag);
+            self.store.touch(set_idx, pos);
             if is_store {
-                self.mark_dirty(line);
+                self.mark_dirty(set_idx, 0);
             }
             self.stats.demand_hits += 1;
             match id {
@@ -568,20 +572,20 @@ impl Cache {
     fn process_writeback(&mut self, line: u64) {
         self.stats.writebacks_in += 1;
         let (set_idx, tag) = self.set_and_tag(line);
-        if let Some(pos) = self.sets[set_idx].probe(tag) {
+        if let Some(pos) = self.store.probe(set_idx, tag) {
             if let Some(e) = &mut self.eager {
                 e.monitor.record_hit(pos);
             }
-            self.sets[set_idx].touch(tag);
-            self.mark_dirty(line);
+            self.store.touch(set_idx, pos);
         } else {
             if let Some(e) = &mut self.eager {
                 e.monitor.record_miss();
             }
             // A full-line writeback installs without fetching.
             self.install(line);
-            self.mark_dirty(line);
         }
+        // Either way the line now sits at the MRU position.
+        self.mark_dirty(set_idx, 0);
     }
 
     /// Removes and returns the next completed demand id (top-level
@@ -619,11 +623,15 @@ impl Cache {
     }
 
     /// Ends a utility-monitor profiling period (call every `T_sample`).
+    /// This is the only place the eager position moves, so the tag
+    /// store's useless positions and candidate count are recomputed here.
     ///
     /// Returns the new eager position, or `None` when the monitor is not
     /// enabled.
     pub fn sample_utility(&mut self) -> Option<usize> {
-        self.eager.as_mut().map(|e| e.monitor.sample())
+        let floor = self.eager.as_mut()?.monitor.sample();
+        self.store.set_eager_position(floor);
+        Some(floor)
     }
 
     /// Probes one random set for a useless dirty line (§IV-B1): if
@@ -634,31 +642,20 @@ impl Cache {
     /// room; returns `None` when the monitor is disabled or the probed
     /// set has no candidate.
     pub fn eager_candidate(&mut self, rng: &mut DetRng) -> Option<u64> {
-        let floor = self.eager.as_ref()?.monitor.eager_position();
-        if floor >= self.cfg.assoc {
+        if !self.store.has_useless() {
+            // Monitor disabled, or no useless position: no draw.
             return None;
         }
         let set_idx = rng.below(self.num_sets) as usize;
-        if self.set_dirty[set_idx] == 0 {
-            // Nothing dirty in this set: the probe misses. (The draw is
-            // consumed either way, so the RNG stream is unchanged.)
-            return None;
-        }
-        let (_pos, tag) = self.sets[set_idx].eager_candidate(floor)?;
-        Some(self.clean_candidate(set_idx, tag))
+        let pos = self.store.candidate(set_idx)?;
+        Some(self.clean_candidate(set_idx, pos))
     }
 
     /// Marks the found candidate clean-without-eviction and accounts it.
-    fn clean_candidate(&mut self, set_idx: usize, tag: u64) -> u64 {
-        let state = self.sets[set_idx]
-            .state_mut(tag)
-            .expect("candidate line present");
-        state.dirty = false;
-        state.eager_cleaned = true;
-        self.dirty_lines -= 1;
-        self.set_dirty[set_idx] -= 1;
+    fn clean_candidate(&mut self, set_idx: usize, pos: usize) -> u64 {
+        self.store.eager_clean(set_idx, pos);
         self.stats.eager_issued += 1;
-        self.line_addr(set_idx, tag)
+        self.line_addr(set_idx, self.store.tag(set_idx, pos))
     }
 
     /// Closed-form batch of up to `max_probes` idle-cycle eager probes:
@@ -671,26 +668,22 @@ impl Cache {
     /// otherwise all `max_probes` cycles are consumed. The RNG stream is
     /// advanced exactly as the per-cycle loop would advance it — one
     /// `below(num_sets)` draw per probed cycle, none once the monitor
-    /// reports no useless positions — using [`DetRng::skip`] when no
-    /// resident line is dirty (a probe needs a dirty line to succeed, so
-    /// the whole span's draws are provably discards; the skip is only
-    /// valid when `num_sets` is a power of two, where `below` consumes
-    /// exactly one raw output per call).
+    /// reports no useless positions — using [`DetRng::skip`] when no set
+    /// holds a candidate (a dirty line at a useless position; the tag
+    /// store counts those sets, so the whole span's draws are provably
+    /// discards; the skip is only valid when `num_sets` is a power of
+    /// two, where `below` consumes exactly one raw output per call).
     ///
     /// The caller must hold the same preconditions frozen across the
     /// span that the per-cycle loop checks each cycle: LLC input idle,
     /// eager queue room, and no intervening cache activity (all true
     /// during an event-kernel jump).
     pub fn eager_probe_span(&mut self, rng: &mut DetRng, max_probes: u64) -> (u64, Option<u64>) {
-        let Some(eager) = self.eager.as_ref() else {
-            return (max_probes, None);
-        };
-        let floor = eager.monitor.eager_position();
-        if floor >= self.cfg.assoc {
+        if !self.store.has_useless() {
             // Probes draw nothing and never succeed.
             return (max_probes, None);
         }
-        if self.dirty_lines == 0 {
+        if self.store.candidate_sets() == 0 {
             // No probe can find a candidate; advance the stream past the
             // span's draws without executing them.
             if self.num_sets.is_power_of_two() {
@@ -704,12 +697,8 @@ impl Cache {
         }
         for cycle in 1..=max_probes {
             let set_idx = rng.below(self.num_sets) as usize;
-            if self.set_dirty[set_idx] == 0 {
-                continue; // nothing dirty in this set: the probe misses
-            }
-            if let Some((_pos, tag)) = self.sets[set_idx].eager_candidate(floor) {
-                let line = self.clean_candidate(set_idx, tag);
-                return (cycle, Some(line));
+            if let Some(pos) = self.store.candidate(set_idx) {
+                return (cycle, Some(self.clean_candidate(set_idx, pos)));
             }
         }
         (max_probes, None)
@@ -719,9 +708,8 @@ impl Cache {
     /// line, when resident.
     pub fn line_state(&self, line: u64) -> Option<(bool, bool)> {
         let (set_idx, tag) = self.set_and_tag(line);
-        self.sets[set_idx]
-            .state(tag)
-            .map(|s| (s.dirty, s.eager_cleaned))
+        let pos = self.store.probe(set_idx, tag)?;
+        Some(self.store.state(set_idx, pos))
     }
 }
 
@@ -987,6 +975,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ports must be non-zero")]
+    fn zero_ports_rejected() {
+        let _ = Cache::new(CacheConfig {
+            ports: 0,
+            ..tiny_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "input_capacity must be non-zero")]
+    fn zero_input_capacity_rejected() {
+        let _ = Cache::new(CacheConfig {
+            input_capacity: 0,
+            ..tiny_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "assoc must be at most 64")]
+    fn assoc_wider_than_the_masks_rejected() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 64 * 128,
+            assoc: 128,
+            ..tiny_cfg()
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "without outstanding MSHR")]
     fn unexpected_fill_panics() {
         let mut c = Cache::new(tiny_cfg());
@@ -1068,57 +1084,140 @@ mod tests {
         assert_eq!(c.stats().input_rejects, 11);
     }
 
+    /// Runs one demand load of `line` to completion, filling it on a
+    /// miss.
+    fn demand(c: &mut Cache, line: u64) {
+        c.try_demand(AccessId(99), line, false, SimTime::ZERO);
+        run(c, 2);
+        if c.pop_miss_down().is_some() {
+            c.deliver_fill(line, SimTime::from_ns(3));
+        }
+        c.pop_completion();
+    }
+
+    /// Installs or re-dirties `line` through a writeback from above.
+    fn write_back(c: &mut Cache, line: u64) {
+        c.try_writeback(line, SimTime::ZERO);
+        run(c, 2);
+    }
+
+    /// A 2-way cache holding dirty `dirty_lines`, trained on an all-miss
+    /// profile: every position useless (eager position 0).
+    fn trained_all_miss(dirty_lines: &[u64]) -> Cache {
+        let mut c = Cache::new(tiny_cfg());
+        c.enable_eager();
+        for &line in dirty_lines {
+            write_back(&mut c, line);
+        }
+        for i in 0..100u64 {
+            demand(&mut c, 1000 + 16 * i); // set 0, never revisited
+        }
+        assert_eq!(c.sample_utility(), Some(0));
+        c
+    }
+
+    /// A 4-way cache trained to eager position 2 by hits at positions 0
+    /// and 1 only. Set 1 holds dirty lines 5 (MRU) and 1 above the
+    /// `clean` lines, which are fetched into it first.
+    fn trained_floor_2(clean: &[u64]) -> Cache {
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 4 * 64 * 4, // 4 sets, 4-way
+            assoc: 4,
+            ..tiny_cfg()
+        });
+        c.enable_eager();
+        for &line in clean {
+            demand(&mut c, line);
+        }
+        write_back(&mut c, 1);
+        write_back(&mut c, 5);
+        for _ in 0..10 {
+            demand(&mut c, 1); // each alternate access hits at position 1
+            demand(&mut c, 5);
+        }
+        for _ in 0..50 {
+            demand(&mut c, 5); // MRU hits
+        }
+        assert_eq!(c.sample_utility(), Some(2));
+        c
+    }
+
     /// The closed-form probe span must match the per-cycle probe loop
     /// bit for bit: same RNG stream position, same candidate, same
-    /// truncation point, same stats and line states.
+    /// truncation point, same stats and line states. Each row also pins
+    /// the tag store's count of sets holding a candidate, which decides
+    /// whether the span skips its draws.
     #[test]
     fn eager_probe_span_matches_per_cycle_probes() {
-        let trained = |dirty_lines: &[u64]| {
-            let mut c = Cache::new(tiny_cfg());
-            c.enable_eager();
-            for &line in dirty_lines {
-                c.try_writeback(line, SimTime::ZERO);
-                run(&mut c, 2);
-            }
-            // All-miss profile: every position useless (floor 0).
-            for i in 0..100u64 {
-                let line = 1000 + 16 * i;
-                c.try_demand(AccessId(99), line, false, SimTime::from_ns(5));
-                run(&mut c, 7);
-                if c.pop_miss_down().is_some() {
-                    c.deliver_fill(line, SimTime::from_ns(8));
-                }
-                c.pop_completion();
-            }
-            c.sample_utility();
-            c
-        };
-        for (dirty, span) in [
-            (vec![], 500u64),       // no dirty lines: pure skip path
-            (vec![3u64], 100),      // one candidate somewhere
-            (vec![1, 2, 3], 1),     // single-probe span
-            (vec![5, 6, 7, 9], 64), // several candidates
-        ] {
+        type Build = fn() -> Cache;
+        let rows: [(Build, u64, usize); 8] = [
+            // No dirty lines: pure skip path.
+            (|| trained_all_miss(&[]), 500, 0),
+            // One candidate somewhere.
+            (|| trained_all_miss(&[3]), 100, 1),
+            // Single-probe span.
+            (|| trained_all_miss(&[1, 2, 3]), 1, 3),
+            // Several candidates, two in one set.
+            (|| trained_all_miss(&[5, 6, 7, 9]), 64, 3),
+            // Dirty lines resident, all below the eager position: the
+            // skip path with dirty lines present.
+            (|| trained_floor_2(&[]), 500, 0),
+            // An insert pushes dirty line 1 to position 2.
+            (
+                || {
+                    let mut c = trained_floor_2(&[]);
+                    demand(&mut c, 9);
+                    c
+                },
+                100,
+                1,
+            ),
+            // A touch of the LRU line 9 pushes dirty line 1 to position 2.
+            (
+                || {
+                    let mut c = trained_floor_2(&[9, 13]);
+                    demand(&mut c, 9);
+                    c
+                },
+                100,
+                1,
+            ),
+            // A second, all-miss sample lowers the eager position to 0.
+            (
+                || {
+                    let mut c = trained_floor_2(&[]);
+                    for i in 0..10u64 {
+                        demand(&mut c, 4 * i); // set 0
+                    }
+                    assert_eq!(c.sample_utility(), Some(0));
+                    c
+                },
+                100,
+                1,
+            ),
+        ];
+        for (row, (build, span, candidates)) in rows.iter().enumerate() {
             for seed in 0..8u64 {
-                let mut looped = trained(&dirty);
-                let mut spanned = trained(&dirty);
+                let mut looped = build();
+                let mut spanned = build();
+                assert_eq!(spanned.store.candidate_sets(), *candidates, "row {row}");
                 let mut rng_a = DetRng::seed_from(seed);
                 let mut rng_b = rng_a.clone();
 
-                let mut consumed_a = span;
+                let mut consumed_a = *span;
                 let mut found_a = None;
-                for cycle in 1..=span {
+                for cycle in 1..=*span {
                     if let Some(line) = looped.eager_candidate(&mut rng_a) {
                         consumed_a = cycle;
                         found_a = Some(line);
                         break;
                     }
                 }
-                let (consumed_b, found_b) = spanned.eager_probe_span(&mut rng_b, span);
-                assert_eq!((consumed_a, found_a), (consumed_b, found_b));
+                let (consumed_b, found_b) = spanned.eager_probe_span(&mut rng_b, *span);
+                assert_eq!((consumed_a, found_a), (consumed_b, found_b), "row {row}");
                 assert_eq!(looped.stats(), spanned.stats());
                 assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-                for &line in &dirty {
+                for line in 0..2600 {
                     assert_eq!(looped.line_state(line), spanned.line_state(line));
                 }
             }

@@ -6,7 +6,10 @@
 //! per LRU stack position to find *useless* dirty lines that can be
 //! eagerly and slowly written back while their banks are idle (§IV-B).
 //!
-//! - [`LruSet`] — one true-LRU set with per-line dirty/eager state.
+//! - A crate-private flat tag store that every level keeps its lines in:
+//!   one array of `num_sets × assoc` tags ordered MRU → LRU within each
+//!   set, plus per-set `dirty` and `eager_cleaned` bit masks indexed by
+//!   LRU position, so the LLC's eager probe tests one word per set.
 //! - [`MshrFile`] — bounded miss-status holding registers with same-line
 //!   merging.
 //! - [`Cache`] / [`CacheConfig`] — a timed cache level with input
@@ -19,11 +22,10 @@
 //! line address convention throughout is `addr / line_bytes`.
 
 mod cache;
-mod lru;
 mod mshr;
+mod store;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use lru::{LineState, LruSet, Victim};
 pub use mshr::{MshrEntry, MshrFile};
 
 /// Identifies a demand access at the top of the hierarchy (assigned by

@@ -76,11 +76,11 @@ impl DetRng {
     ///
     /// This is the closed-form replacement for draw-replay loops: a span
     /// of cycles whose draws provably cannot change simulation state can
-    /// be jumped over while keeping the stream bit-identical. Note the
-    /// unit is *raw outputs* — [`DetRng::below`] consumes exactly one
-    /// output per call only when its rejection zone spans the full `u64`
-    /// range (power-of-two bounds); callers skipping `below` draws must
-    /// guarantee that property.
+    /// be jumped over while keeping the stream bit-identical (the LLC's
+    /// eager-probe span skips when no cache set holds a candidate). Note
+    /// the unit is *raw outputs* — [`DetRng::below`] consumes exactly one
+    /// output per call only for power-of-two bounds; callers skipping
+    /// `below` draws must guarantee that property.
     #[inline]
     pub fn skip(&mut self, n: u64) {
         self.inner.discard(n);
@@ -88,12 +88,21 @@ impl DetRng {
 
     /// Returns a uniform value in `[0, bound)`.
     ///
+    /// A power-of-two bound takes exactly one raw output and masks it,
+    /// `next_u64() & (bound − 1)`: the value the rejection loop that
+    /// serves every other bound would return (its acceptance zone is all
+    /// of `u64` there, and `x % 2^k == x & (2^k − 1)`), without the
+    /// loop's division.
+    ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be non-zero");
+        if bound.is_power_of_two() {
+            return self.next_u64() & (bound - 1);
+        }
         self.inner.random_range(0..bound)
     }
 
@@ -180,6 +189,41 @@ mod tests {
                 walked.below(bound);
             }
             assert_eq!(jumped.below(bound), walked.below(bound));
+        }
+    }
+
+    #[test]
+    fn below_masks_one_draw_for_power_of_two_bounds() {
+        for bound in [1u64, 2, 2048, 1 << 63] {
+            let mut rng = DetRng::seed_from(0xB0 ^ bound);
+            let mut raw = rng.clone();
+            for _ in 0..64 {
+                assert_eq!(
+                    rng.below(bound),
+                    raw.next_u64() & (bound - 1),
+                    "below({bound})"
+                );
+            }
+            assert_eq!(
+                rng.next_u64(),
+                raw.next_u64(),
+                "below({bound}) took one draw"
+            );
+        }
+    }
+
+    #[test]
+    fn below_keeps_the_rejection_draws_for_other_bounds() {
+        // The rejection loop's draws from this seed; the power-of-two
+        // path must leave every other bound's values unchanged.
+        for (bound, recorded) in [
+            (3u64, [1u64, 2, 0, 1, 1, 1, 2, 2]),
+            (2047, [1808, 689, 809, 894, 930, 1937, 218, 588]),
+        ] {
+            let mut rng = DetRng::seed_from(0xB0);
+            let drawn: Vec<u64> = (0..8).map(|_| rng.below(bound)).collect();
+            assert_eq!(drawn, recorded, "below({bound})");
+            assert_eq!(rng.next_u64(), 9_063_968_947_914_210_481);
         }
     }
 
