@@ -41,13 +41,7 @@ pub fn main_cells() -> Vec<Cell> {
     matrix_cells(&WORKLOADS, &main_policies())
 }
 
-/// Runs the shared policy matrix used by Figs. 3 and 10–17 with default
-/// sweep settings.
-pub fn main_matrix(scale: Scale) -> Vec<(MatrixKey, Metrics)> {
-    main_matrix_with(scale, &SweepSettings::default())
-}
-
-/// Runs the shared policy matrix with explicit sweep settings.
+/// Runs the shared policy matrix used by Figs. 3 and 10–17.
 pub fn main_matrix_with(scale: Scale, settings: &SweepSettings) -> Vec<(MatrixKey, Metrics)> {
     run_cells(scale, settings, main_cells())
 }
@@ -165,13 +159,7 @@ pub fn static_cells() -> Vec<Cell> {
     matrix_cells(&WORKLOADS, &static_policies())
 }
 
-/// Runs the static-latency matrix shared by Figs. 2 and 19 with default
-/// sweep settings.
-pub fn static_matrix(scale: Scale) -> Vec<(MatrixKey, Metrics)> {
-    static_matrix_with(scale, &SweepSettings::default())
-}
-
-/// Runs the static-latency matrix with explicit sweep settings.
+/// Runs the static-latency matrix shared by Figs. 2 and 19.
 pub fn static_matrix_with(scale: Scale, settings: &SweepSettings) -> Vec<(MatrixKey, Metrics)> {
     run_cells(scale, settings, static_cells())
 }

@@ -10,9 +10,12 @@
 //!
 //! The key hashes the fully-built experiment (workload spec, complete
 //! `SystemConfig` including policy and seed, warm-up and measured
-//! instruction counts) plus the crate version, so any change to a
-//! config knob, a spec parameter, or the simulator itself produces a
-//! distinct key and stale rows are simply never looked up again.
+//! instruction counts) plus a build-time hash of the simulator's
+//! sources, so any change to a config knob, a spec parameter, or a
+//! source file of `mellow-{engine,nvm,cache,cpu,core,memctrl,workloads,sim}`
+//! or the vendored `rand` produces a distinct key and stale rows are
+//! simply never looked up again. Changes elsewhere — this crate's
+//! figure formatting, the toolchain — keep the keys.
 
 use mellow_engine::json::Json;
 use mellow_sim::{Experiment, Metrics};
@@ -26,18 +29,30 @@ use std::path::{Path, PathBuf};
 ///
 /// Two experiments collide only if their workload spec, system
 /// configuration (policy, seed, every memory/cache knob), instruction
-/// windows, and crate version all match — exactly the conditions under
-/// which the simulator is deterministic, so a stored row is a faithful
-/// replay.
+/// windows, crate version and simulator sources all match — the
+/// conditions under which the simulator is deterministic, so a stored
+/// row is a faithful replay. The sources enter as a hash of every `.rs`
+/// file under the simulator crates' and the vendored `rand`'s `src/`
+/// directories, computed by this crate's build script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellKey(u64);
+
+/// The build script's hash of the simulator's sources.
+const SIM_SOURCE_HASH: &str = env!("MELLOW_SIM_SOURCE_HASH");
 
 impl CellKey {
     /// Computes the key for a fully-built experiment.
     pub fn for_experiment(e: &Experiment) -> CellKey {
+        CellKey::with_source(e, SIM_SOURCE_HASH)
+    }
+
+    /// The key of `e` as built from simulator sources hashing to
+    /// `source_hash`.
+    fn with_source(e: &Experiment, source_hash: &str) -> CellKey {
         let mut h = Fnv::new();
         h.write(b"mellow-sweep-v1");
         h.write(env!("CARGO_PKG_VERSION").as_bytes());
+        h.write(source_hash.as_bytes());
         h.write(format!("{:?}", e.workload()).as_bytes());
         h.write(format!("{:?}", e.config()).as_bytes());
         h.write(&e.warmup_instructions().to_le_bytes());
@@ -485,6 +500,20 @@ mod tests {
         assert_ne!(
             k,
             CellKey::for_experiment(&base.clone().configure(|c| c.mem.write_queue_cap += 1))
+        );
+    }
+
+    #[test]
+    fn key_tracks_the_simulator_sources() {
+        let e = try_experiment_for("lbm", WritePolicy::norm(), Scale::quick()).unwrap();
+        assert_ne!(
+            CellKey::with_source(&e, "0000000000000000"),
+            CellKey::with_source(&e, "0000000000000001")
+        );
+        assert_eq!(SIM_SOURCE_HASH.len(), 16);
+        assert_eq!(
+            CellKey::for_experiment(&e),
+            CellKey::with_source(&e, SIM_SOURCE_HASH)
         );
     }
 }

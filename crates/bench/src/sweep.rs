@@ -216,12 +216,6 @@ impl Sweep {
         self
     }
 
-    /// Detaches any result store (every cell simulates).
-    pub fn no_store(mut self) -> Sweep {
-        self.store_path = None;
-        self
-    }
-
     /// Suppresses the per-cell stderr progress lines.
     pub fn quiet(mut self) -> Sweep {
         self.progress = false;

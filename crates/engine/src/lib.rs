@@ -10,9 +10,8 @@
 //! - [`Clock`] — a fixed-frequency clock domain converting between cycles
 //!   and [`SimTime`] (the simulated system mixes a 2 GHz core domain with a
 //!   400 MHz memory domain).
-//! - [`TimerQueue`] — a deterministic pending-completion queue used by
-//!   components that have in-flight operations (cache fills, bank busy
-//!   intervals, bus transfers).
+//! - [`TimerQueue`] — a deterministic pending-completion queue; the
+//!   memory controller keeps its in-flight bank operations in one.
 //! - [`HorizonQueue`] — a per-source horizon registry: sources post "my
 //!   next work is at `t`" and a loop pops the earliest. The system's
 //!   event kernel no longer uses it; it reads each component's horizon

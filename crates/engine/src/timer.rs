@@ -7,11 +7,10 @@ use std::collections::BinaryHeap;
 /// A min-heap of `(due time, payload)` entries with deterministic FIFO
 /// ordering among entries due at the same instant.
 ///
-/// Components with in-flight operations (cache fills, bank busy intervals,
-/// bus transfers) schedule their completions here and drain the due entries
-/// each tick. Determinism matters: two entries scheduled for the same
-/// picosecond pop in insertion order, so a simulation is a pure function of
-/// its configuration and seed.
+/// The memory controller schedules each in-flight bank operation here
+/// and drains the due entries each tick. Determinism matters: two entries
+/// scheduled for the same picosecond pop in insertion order, so a
+/// simulation is a pure function of its configuration and seed.
 ///
 /// # Examples
 ///
@@ -115,6 +114,13 @@ impl<T> TimerQueue<T> {
     /// Returns `true` when no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// Keeps only the entries whose payload satisfies `keep`. Survivors
+    /// keep their due times and insertion order, so their pop order does
+    /// not change.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        self.heap.retain(|e| keep(&e.payload));
     }
 
     /// Removes all pending entries.

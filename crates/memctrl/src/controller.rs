@@ -110,7 +110,6 @@ enum OpKind {
 
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
-    serial: u64,
     kind: OpKind,
     line: u64,
     mapping: LineMapping,
@@ -118,7 +117,6 @@ struct InFlight {
     /// Actual latency factor driven (1.0 normal; the policy's slow
     /// factor, or a graded level under `+GR`).
     factor: f64,
-    cancellable: bool,
     cancels: u32,
     /// Verify-retry attempts this write has already consumed (fault
     /// layer); carried from the queue entry so cancels preserve it.
@@ -179,12 +177,6 @@ impl Banks {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    serial: u64,
-    bank: usize,
-}
-
 /// The cycle-level memory controller for a resistive main memory.
 ///
 /// The controller owns three request queues (read > write > eager, in
@@ -243,7 +235,10 @@ pub struct Controller {
     /// Recent activation times per rank, for tFAW.
     rank_acts: Vec<VecDeque<SimTime>>,
     bus_free_at: SimTime,
-    completions: TimerQueue<Completion>,
+    /// The banks with an op in flight, keyed by its end: one entry per
+    /// occupied `banks.in_flight` slot. A cancel removes its bank's
+    /// entry, so the earliest entry is always a real completion.
+    completions: TimerQueue<usize>,
     /// Forwarded reads awaiting their (bank-free) completion time.
     forwarded_pending: VecDeque<(SimTime, u64)>,
     read_done: VecDeque<u64>,
@@ -264,7 +259,6 @@ pub struct Controller {
     stats: CtrlStats,
     /// Fault, drift and scrub state, and the failed-verify policy.
     reliability: Reliability,
-    next_serial: u64,
     rr_start: usize,
     /// No tick strictly before this time can act (see
     /// [`compute_next_actionable`](Self::compute_next_actionable));
@@ -315,7 +309,6 @@ impl Controller {
             energy: EnergyAccount::default(),
             stats: CtrlStats::default(),
             reliability,
-            next_serial: 0,
             rr_start: 0,
             next_actionable: SimTime::ZERO,
             policy,
@@ -494,12 +487,6 @@ impl Controller {
         true
     }
 
-    fn alloc_serial(&mut self) -> u64 {
-        let s = self.next_serial;
-        self.next_serial += 1;
-        s
-    }
-
     /// Advances the controller to memory-clock edge `now`, skipping
     /// the work of any edge before the next actionable time.
     pub fn tick(&mut self, now: SimTime) {
@@ -604,14 +591,10 @@ impl Controller {
     }
 
     fn process_completions(&mut self, now: SimTime) {
-        while let Some(c) = self.completions.pop_due(now) {
-            let Some(op) = self.banks.in_flight[c.bank] else {
-                continue; // cancelled
-            };
-            if op.serial != c.serial {
-                continue; // cancelled and bank reused
-            }
-            self.banks.in_flight[c.bank] = None;
+        while let Some(bank_idx) = self.completions.pop_due(now) {
+            let op = self.banks.in_flight[bank_idx]
+                .take()
+                .expect("a scheduled bank holds its op");
             match op.kind {
                 OpKind::Read => {
                     self.read_done.push_back(op.line);
@@ -620,12 +603,12 @@ impl Controller {
                         .record(op.end.saturating_since(op.enq).as_ns());
                     // The data itself is recovered through ECC; what
                     // must be repaired is the array copy.
-                    if self.repair_if_expired(op.line, c.bank, op.mapping.block, op.end) {
+                    if self.repair_if_expired(op.line, bank_idx, op.mapping.block, op.end) {
                         self.reliability.demand_detected();
                     }
                 }
                 OpKind::DemandWrite | OpKind::EagerWrite => {
-                    self.complete_write(c.bank, op);
+                    self.complete_write(bank_idx, op);
                 }
             }
         }
@@ -764,7 +747,7 @@ impl Controller {
             let Some(op) = self.banks.in_flight[bank_idx] else {
                 continue;
             };
-            if op.kind == OpKind::Read || !op.cancellable || now >= op.end {
+            if op.kind == OpKind::Read || !self.policy.cancellable(op.speed) || now >= op.end {
                 continue;
             }
             // Cancel or pause: yield the bank to the read and re-queue
@@ -807,6 +790,7 @@ impl Controller {
                 self.banks.busy_time[bank_idx].saturating_sub(op.end.saturating_since(now));
             self.banks.busy_until[bank_idx] = now;
             self.banks.in_flight[bank_idx] = None;
+            self.completions.retain(|&b| b != bank_idx);
             if !in_pulse {
                 // The line was still bursting over the bus: no data has
                 // reached the bank, so the retry is not `data_resident`,
@@ -941,17 +925,14 @@ impl Controller {
             self.energy.add_buffer_read();
             self.stats.rb_miss_reads += 1;
         }
-        let serial = self.alloc_serial();
         self.banks.busy_time[bank_idx] += end.saturating_since(now);
         self.banks.busy_until[bank_idx] = end;
         self.banks.in_flight[bank_idx] = Some(InFlight {
-            serial,
             kind: OpKind::Read,
             line: req.line,
             mapping: self.cfg.map_line(req.line),
             speed: WriteSpeed::Normal,
             factor: 1.0,
-            cancellable: false,
             cancels: 0,
             retries: 0,
             repair: false,
@@ -960,13 +941,7 @@ impl Controller {
             pulse_start: end,
             end,
         });
-        self.completions.schedule(
-            end,
-            Completion {
-                serial,
-                bank: bank_idx,
-            },
-        );
+        self.completions.schedule(end, bank_idx);
         true
     }
 
@@ -1005,17 +980,14 @@ impl Controller {
         } else {
             self.stats.writes_issued_normal += 1;
         }
-        let serial = self.alloc_serial();
         self.banks.busy_time[bank_idx] += end.saturating_since(now);
         self.banks.busy_until[bank_idx] = end;
         self.banks.in_flight[bank_idx] = Some(InFlight {
-            serial,
             kind,
             line: req.line,
             mapping: self.cfg.map_line(req.line),
             speed,
             factor,
-            cancellable: self.policy.cancellable(speed),
             cancels: req.cancels,
             retries: req.retries,
             repair: req.repair,
@@ -1024,13 +996,7 @@ impl Controller {
             pulse_start,
             end,
         });
-        self.completions.schedule(
-            end,
-            Completion {
-                serial,
-                bank: bank_idx,
-            },
-        );
+        self.completions.schedule(end, bank_idx);
     }
 
     fn try_activate(&mut self, rank: usize, now: SimTime) -> bool {

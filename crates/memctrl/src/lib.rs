@@ -637,6 +637,24 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_write_leaves_no_stale_wake_up() {
+        // Regression: a cancel left its write's completion entry in the
+        // heap, so the horizon pointed at the cancelled pulse's old end.
+        let mut c = ctrl(WritePolicy::b_mellow_sc());
+        // Lone slow write: bus 2.5..22.5 ns, pulse 22.5..472.5 ns.
+        c.try_write(0, SimTime::ZERO);
+        run(&mut c, 1, 20);
+        // The read cancels the write in its pulse at 52.5 ns and holds
+        // the bank until 195 ns; the data-resident retry then pulses
+        // 195..645 ns.
+        c.try_read(same_bank_line(0), SimTime::from_ps(20 * MEM_CYCLE_PS));
+        run(&mut c, 21, 60);
+        assert_eq!(c.stats().writes_cancelled, 1);
+        assert_eq!(c.pop_read_done(), Some(same_bank_line(0)));
+        assert_eq!(c.next_event(), Some(SimTime::from_ps(645_000)));
+    }
+
+    #[test]
     fn read_queue_rejects_when_full() {
         let mut c = ctrl(WritePolicy::norm());
         let mut accepted = 0;

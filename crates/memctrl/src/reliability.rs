@@ -6,9 +6,9 @@
 //! wear ledger and energy account; it calls in here at a few points — a
 //! write pulse landed, a read returned, a bank has an idle window, a
 //! memory edge passed — and asks [`Reliability::next_due`] for the
-//! pipeline's next wake-up. Every call comes from a controller method
-//! that raises the event-dirty flag, so this module keeps no flag of
-//! its own.
+//! pipeline's next wake-up, which it folds into its own horizon on
+//! every full tick. The event kernel reads that horizon fresh on every
+//! jump, so this module tracks no changes of its own.
 //!
 //! With faults and retention both disabled (the default) no fault or
 //! drift state exists: every hook is one `None` check and no fault or

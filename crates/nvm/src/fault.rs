@@ -237,11 +237,6 @@ impl FaultState {
         self.banks.iter().map(|b| b.lost).sum()
     }
 
-    /// Blocks declared lost in `bank`.
-    pub fn lost_blocks_in(&self, bank: usize) -> u64 {
-        self.banks[bank].lost
-    }
-
     /// Fraction of the block space still holding data: `1.0` until the
     /// first uncorrectable loss, shrinking by `1 / total_blocks` per
     /// lost block.

@@ -565,12 +565,12 @@ mod tests {
         let mellow_wq = WritePolicy::be_mellow_sc().with_wear_quota();
         let be_mellow = WritePolicy::new(BasePolicy::BEMellow);
         assert_eq!(iterations(scaled_config(WritePolicy::norm()), 0), 110_178);
-        assert_eq!(iterations(scaled_config(mellow_wq), 4), 128_301);
+        assert_eq!(iterations(scaled_config(mellow_wq), 4), 125_292);
         assert_eq!(iterations(scaled_config(be_mellow), 6), 122_282);
         assert_eq!(iterations(reliability(WritePolicy::norm()), 3), 146_535);
         assert_eq!(
             iterations(reliability(WritePolicy::be_mellow_sc()), 3),
-            138_244
+            134_903
         );
     }
 }

@@ -341,21 +341,30 @@ proptest! {
         prop_assert!(row_round_trips::<EnergyAccount>(base, scale));
     }
 
-    /// Timer queue pops in nondecreasing (time, insertion) order.
+    /// Timer queue pops in nondecreasing (time, insertion) order, and
+    /// `retain` removes exactly the rejected entries without reordering
+    /// the survivors.
     #[test]
-    fn timer_queue_ordering(times in proptest::collection::vec(0u64..1_000, 1..100)) {
+    fn timer_queue_ordering(
+        entries in proptest::collection::vec((0u64..1_000, any::<bool>()), 1..100),
+    ) {
         let mut q = TimerQueue::new();
-        for (i, &t) in times.iter().enumerate() {
+        for (i, &(t, _)) in entries.iter().enumerate() {
             q.schedule(SimTime::from_ns(t), (t, i));
         }
+        q.retain(|&(_, i)| entries[i].1);
         let horizon = SimTime::from_ns(1_000_000);
         let mut prev: Option<(u64, usize)> = None;
+        let mut popped = 0;
         while let Some((t, i)) = q.pop_due(horizon) {
+            prop_assert!(entries[i].1, "removed entry {} popped", i);
             if let Some((pt, pi)) = prev {
                 prop_assert!(pt < t || (pt == t && pi < i), "order violated");
             }
             prev = Some((t, i));
+            popped += 1;
         }
+        prop_assert_eq!(popped, entries.iter().filter(|&&(_, keep)| keep).count());
     }
 
     /// Duration scaling round-trips with the latency factors used by the
