@@ -2,10 +2,10 @@
 //!
 //! These measure the cost of the data structures the cycle loop leans
 //! on (the LLC's demand hit and eager-probe span, Start-Gap remapping,
-//! the utility monitor, timer queues, the controller tick) plus
-//! end-to-end simulated-instruction throughput of the wired system.
-//! They guard the simulator's own performance, not the paper's results
-//! — those come from the `figures` binary.
+//! the utility monitor, timer queues, the controller tick) plus the
+//! sweep's per-cell set-up. They guard the simulator's own performance,
+//! not the paper's results — those come from the `figures` binary.
+//! End-to-end throughput is the `benchmark/` package's job.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mellow_cache::{AccessId, Cache, CacheConfig};
@@ -13,8 +13,6 @@ use mellow_core::{UtilityMonitor, WritePolicy};
 use mellow_engine::{DetRng, SimTime, TimerQueue};
 use mellow_memctrl::{Controller, MemConfig};
 use mellow_nvm::{CancelWear, EnduranceModel, StartGap};
-use mellow_sim::Experiment;
-use mellow_workloads::WorkloadSpec;
 use std::hint::black_box;
 
 /// A paper-size LLC (2,048 sets × 16 ways) with Eager Mellow Writes on
@@ -172,38 +170,6 @@ fn bench_controller_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_system_loops(c: &mut Criterion) {
-    // The same retirement target under both run_instructions loops:
-    // `_cycle` is the one-cycle-at-a-time reference, the unsuffixed
-    // bench the event-kernel default. The gap is widest on gups,
-    // whose random misses keep the core head-blocked on memory for most
-    // of its cycles.
-    let mut group = c.benchmark_group("system_loop");
-    group.sample_size(10);
-    for workload in ["gups", "stream"] {
-        for (suffix, cycle_loop) in [("", false), ("_cycle", true)] {
-            group.bench_function(format!("run_20k_instructions_{workload}{suffix}"), |b| {
-                let mut spec = WorkloadSpec::try_by_name(workload).unwrap();
-                spec.working_set_bytes = 16 << 20;
-                b.iter(|| {
-                    let mut system =
-                        Experiment::with_spec(spec.clone(), WritePolicy::be_mellow_sc())
-                            .configure(|c| {
-                                c.l1.size_bytes = 4 << 10;
-                                c.l2.size_bytes = 16 << 10;
-                                c.llc.size_bytes = 64 << 10;
-                                c.use_cycle_loop = cycle_loop;
-                            })
-                            .build();
-                    system.run_instructions(20_000);
-                    black_box(system.core().ipc())
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 fn bench_sweep_overhead(c: &mut Criterion) {
     use mellow_bench::{try_experiment_for, CellKey, Scale};
     // The sweep path builds each cell's experiment and hashes it into a
@@ -230,7 +196,6 @@ criterion_group!(
     bench_timer_queue,
     bench_endurance,
     bench_controller_tick,
-    bench_system_loops,
     bench_sweep_overhead,
 );
 criterion_main!(benches);

@@ -714,6 +714,13 @@ pub fn ablate(scale: Scale, settings: &SweepSettings) -> String {
     s
 }
 
+/// The repository root: the `BENCH_*.json` curves live beside
+/// `Cargo.lock`, not inside the bench crate, so they are easy to find
+/// and to upload as CI artifacts.
+fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// The fault/degradation sweep (not a paper artifact): fault rate x
 /// verify-retry budget on the write-heavy `gups` workload with
 /// endurance variation on, reporting verify failures, remaps,
@@ -723,7 +730,6 @@ pub fn ablate(scale: Scale, settings: &SweepSettings) -> String {
 /// root (overwritten, not appended: it is a curve, not a trajectory)
 /// so CI can upload the degradation curve as an artifact.
 pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
-    use crate::trajectory::repo_root;
     use mellow_engine::json::Json;
 
     const WORKLOAD: &str = "gups";
@@ -827,7 +833,6 @@ pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
 /// of the three schemes (1 copy per Ψ for Start-Gap, 2 per interval
 /// for WoLFRaM, 2 pages per epoch for SoftWear) is preserved.
 pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
-    use crate::trajectory::repo_root;
     use mellow_engine::json::Json;
 
     const WORKLOAD: &str = "gups";
@@ -974,7 +979,6 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
 /// written blocks after their deadline; a zero interval disables the
 /// scrubber (demand-read detection only), isolating its contribution.
 pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
-    use crate::trajectory::repo_root;
     use mellow_engine::json::Json;
     use mellow_engine::Duration;
     use mellow_nvm::SaturatingMerge;
@@ -1099,4 +1103,14 @@ pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repo_root_contains_workspace_manifest() {
+        assert!(repo_root().join("Cargo.toml").exists());
+    }
 }

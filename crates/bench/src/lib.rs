@@ -11,8 +11,9 @@
 //!
 //! Each `figN`/`tabN` subcommand prints the same rows/series the paper
 //! reports (see DESIGN.md §4 for the experiment index). Simulation-based
-//! figures accept `--quick` (default) or `--full` scale; analytic
-//! artifacts (Fig. 1, Tables V/VI) are exact either way.
+//! figures run at the quick scale by default, at the publication scale
+//! with `--full`, or at the CI smoke scale with `--tiny`; analytic
+//! artifacts (Fig. 1, Tables V/VI) are exact at any scale.
 //!
 //! Simulations run through [`Sweep`]: a parallel, deterministic batch
 //! runner backed by a JSON-lines [`ResultStore`], so repeated or
@@ -24,11 +25,7 @@ pub mod figures;
 mod runner;
 mod store;
 mod sweep;
-pub mod trajectory;
 
-pub use runner::{
-    compare_system_loops, microbench_system_loops, try_experiment_for, LoopComparison, MatrixKey,
-    Scale,
-};
+pub use runner::{try_experiment_for, MatrixKey, Scale};
 pub use store::{CellKey, ResultStore, StoreError};
 pub use sweep::{into_matrix, Cell, CellResult, ConfigEdit, Sweep, SweepError, SweepSettings};

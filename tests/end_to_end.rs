@@ -7,6 +7,7 @@
 //! window. The full-size configuration is exercised by the `figures`
 //! bench harness.
 
+use mellow_writes::bench::{try_experiment_for, Scale};
 use mellow_writes::core::WritePolicy;
 use mellow_writes::engine::Duration;
 use mellow_writes::sim::{Experiment, Metrics};
@@ -274,22 +275,32 @@ fn cycle_and_event_loops_produce_identical_metrics() {
     // energy, IPC) under the event kernel and the one-cycle-at-a-time
     // reference (`SystemConfig::use_cycle_loop`). The policy exercises every replayed per-cycle
     // effect at once: eager probing (RNG draws), wear-quota periods,
-    // slow writes, and cancellation.
-    for w in WorkloadSpec::names() {
+    // slow writes, and cancellation. Every other cycle-vs-event check
+    // shrinks L1/L2/LLC to 4/16/64 KiB, so four more rows run the
+    // paper-size caches at `Scale::tiny()` under BE-Mellow+SC.
+    let shrunk = WorkloadSpec::names().into_iter().map(|w| {
+        let mut spec = WorkloadSpec::by_name(&w).unwrap();
+        spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
+        spec.working_set_bytes = spec.working_set_bytes.min(16 << 20);
+        let e = Experiment::with_spec(spec, WritePolicy::be_mellow_sc().with_wear_quota())
+            .warmup(30_000)
+            .instructions(50_000)
+            .configure(|c| {
+                c.l1.size_bytes = 4 << 10;
+                c.l2.size_bytes = 16 << 10;
+                c.llc.size_bytes = 64 << 10;
+                c.mem.sample_period = Duration::from_us(10);
+            });
+        (w, e)
+    });
+    let paper_caches = ["stream", "gups", "lbm", "GemsFDTD"].map(|w| {
+        let e = try_experiment_for(w, WritePolicy::be_mellow_sc(), Scale::tiny()).unwrap();
+        (w.to_owned(), e)
+    });
+    for (w, e) in shrunk.chain(paper_caches) {
         let row = |cycle_loop: bool| {
-            let mut spec = WorkloadSpec::by_name(&w).unwrap();
-            spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
-            spec.working_set_bytes = spec.working_set_bytes.min(16 << 20);
-            Experiment::with_spec(spec, WritePolicy::be_mellow_sc().with_wear_quota())
-                .warmup(30_000)
-                .instructions(50_000)
-                .configure(move |c| {
-                    c.l1.size_bytes = 4 << 10;
-                    c.l2.size_bytes = 16 << 10;
-                    c.llc.size_bytes = 64 << 10;
-                    c.mem.sample_period = Duration::from_us(10);
-                    c.use_cycle_loop = cycle_loop;
-                })
+            e.clone()
+                .configure(|c| c.use_cycle_loop = cycle_loop)
                 .run()
                 .to_json()
                 .to_string()
