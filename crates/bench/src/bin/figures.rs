@@ -1,17 +1,19 @@
 //! Regenerates the tables and figures of the Mellow Writes evaluation.
 //!
 //! ```text
-//! figures <target> [--full|--tiny] [--threads N] [--store PATH] [--no-cache]
+//! figures <target> [--full] [--threads N] [--store PATH] [--no-cache]
 //!
 //! targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
 //!          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
 //!          faults leveling retention main all
 //! ```
 //!
-//! `main` runs the shared Figs. 10–17 matrix once and prints all of
-//! them; `all` additionally runs Figs. 1–3, 18, 19 and the tables.
-//! Simulations run at the quick scale by default; `--full` uses the
-//! publication scale (slower) and `--tiny` a CI smoke scale.
+//! `main` runs the shared Figs. 10–17 matrix once and prints Fig. 3 and
+//! Figs. 10–17 from it; `all` prints Fig. 1, Tables V/VI, Fig. 2, those
+//! figures, Figs. 18 and 19, then the calibration, ablation, `+GR`,
+//! fault, leveling and retention tables. Its stdout at the default
+//! scale is the committed `results_quick.txt`. Simulations run at the
+//! quick scale by default; `--full` uses the publication scale (slower).
 //!
 //! Simulations run on all available cores (`--threads N` overrides) and
 //! land in a JSON-lines result cache (`target/sweep-cache.jsonl` by
@@ -27,14 +29,13 @@ use std::process::exit;
 const DEFAULT_STORE: &str = "target/sweep-cache.jsonl";
 
 const USAGE: &str = "\
-usage: figures <target> [--full|--tiny] [--threads N] [--store PATH] [--no-cache]
+usage: figures <target> [--full] [--threads N] [--store PATH] [--no-cache]
 
 targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
          faults leveling retention main all (default)
 
   --full        publication scale (slower)
-  --tiny        CI smoke scale (fast, not meaningful for artifacts)
   --threads N   worker threads (default: all cores)
   --store PATH  result cache file (default: target/sweep-cache.jsonl)
   --no-cache    run every cell, ignore and don't write the cache";
@@ -49,22 +50,14 @@ fn main() {
         a.starts_with('-')
             && !matches!(
                 a.as_str(),
-                "--full" | "--tiny" | "--threads" | "--store" | "--no-cache"
+                "--full" | "--threads" | "--store" | "--no-cache"
             )
     }) {
         eprintln!("unknown option {bad:?}\n{USAGE}");
         exit(2);
     }
-    let full = args.iter().any(|a| a == "--full");
-    let tiny = args.iter().any(|a| a == "--tiny");
-    if full && tiny {
-        eprintln!("--full and --tiny are mutually exclusive\n{USAGE}");
-        exit(2);
-    }
-    let scale = if full {
+    let scale = if args.iter().any(|a| a == "--full") {
         Scale::full()
-    } else if tiny {
-        Scale::tiny()
     } else {
         Scale::quick()
     };
@@ -111,7 +104,7 @@ fn main() {
     let needs_matrix = matches!(
         target.as_str(),
         "fig3" | "fig10" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "fig17"
-    ) || matches!(target.as_str(), "fig19" | "main" | "all");
+    ) || matches!(target.as_str(), "fig19" | "calibrate" | "main" | "all");
     let matrix = if needs_matrix {
         eprintln!("running the shared policy matrix (11 workloads x 9 policies)...");
         figures::main_matrix_with(scale, &settings)
@@ -154,7 +147,7 @@ fn main() {
         "fig17" => out.push_str(&figures::fig17(&matrix)),
         "fig18" => out.push_str(&figures::fig18(scale, &settings)),
         "fig19" => out.push_str(&figures::fig19(&statics, &matrix)),
-        "calibrate" => out.push_str(&figures::calibrate(scale, &settings)),
+        "calibrate" => out.push_str(&figures::calibrate(&matrix)),
         "ablate" => out.push_str(&figures::ablate(scale, &settings)),
         "graded" => out.push_str(&figures::graded(scale, &settings)),
         "faults" => out.push_str(&figures::faults(scale, &settings)),
@@ -168,6 +161,12 @@ fn main() {
             print_main(&mut out);
             out.push_str(&figures::fig18(scale, &settings));
             out.push_str(&figures::fig19(&statics, &matrix));
+            out.push_str(&figures::calibrate(&matrix));
+            out.push_str(&figures::ablate(scale, &settings));
+            out.push_str(&figures::graded(scale, &settings));
+            out.push_str(&figures::faults(scale, &settings));
+            out.push_str(&figures::leveling(scale, &settings));
+            out.push_str(&figures::retention(scale, &settings));
         }
         other => {
             eprintln!("unknown target {other:?}\n{USAGE}");

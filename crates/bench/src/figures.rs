@@ -593,21 +593,19 @@ pub fn graded(scale: Scale, settings: &SweepSettings) -> String {
     s
 }
 
-/// Calibration — measured MPKI and IPC under `Norm` vs Table IV targets.
-pub fn calibrate(scale: Scale, settings: &SweepSettings) -> String {
-    let results = settings
-        .apply(Sweep::new(scale).cells(WORKLOADS.map(|w| Cell::new(w, WritePolicy::norm()))))
-        .run()
-        .expect("calibration sweeps the Table IV names");
-
+/// Calibration — measured MPKI and IPC under `Norm` vs Table IV targets,
+/// read from the shared matrix's `Norm` column.
+pub fn calibrate(matrix: &[(MatrixKey, Metrics)]) -> String {
     let mut s = String::from("\n=== Calibration: MPKI vs Table IV (Norm policy) ===\n");
     let _ = writeln!(
         s,
         "{:<12} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10}",
         "workload", "mpki", "target", "IPC", "util%", "drain%", "life(yr)"
     );
-    for (w, r) in WORKLOADS.iter().zip(&results) {
-        let m = &r.metrics;
+    for w in WORKLOADS {
+        let Some(m) = find(matrix, w, "Norm") else {
+            continue;
+        };
         let target = mellow_workloads::WorkloadSpec::try_by_name(w)
             .map(|s| s.target_mpki)
             .unwrap_or(f64::NAN);
@@ -714,24 +712,12 @@ pub fn ablate(scale: Scale, settings: &SweepSettings) -> String {
     s
 }
 
-/// The repository root: the `BENCH_*.json` curves live beside
-/// `Cargo.lock`, not inside the bench crate, so they are easy to find
-/// and to upload as CI artifacts.
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 /// The fault/degradation sweep (not a paper artifact): fault rate x
 /// verify-retry budget on the write-heavy `gups` workload with
 /// endurance variation on, reporting verify failures, remaps,
 /// uncorrectable losses, the usable-capacity fraction, and the
 /// capacity-threshold lifetimes beside the first-failure projection.
-/// The table is also written as `BENCH_faults.json` at the repository
-/// root (overwritten, not appended: it is a curve, not a trajectory)
-/// so CI can upload the degradation curve as an artifact.
 pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
-    use mellow_engine::json::Json;
-
     const WORKLOAD: &str = "gups";
     const RATES: [f64; 3] = [0.0, 0.005, 0.02];
     const BUDGETS: [u32; 3] = [0, 1, 4];
@@ -770,7 +756,6 @@ pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
         "cap99(yr)",
         "cap95(yr)"
     );
-    let mut rows: Vec<Json> = Vec::new();
     for (i, r) in results.iter().enumerate() {
         let rate = RATES[i / BUDGETS.len()];
         let budget = BUDGETS[i % BUDGETS.len()];
@@ -788,30 +773,6 @@ pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
             m.capacity_99_years,
             m.capacity_95_years,
         );
-        rows.push(Json::obj([
-            ("workload", Json::from(WORKLOAD)),
-            ("transient_rate", Json::from(rate)),
-            ("max_write_retries", Json::from(budget as u64)),
-            ("verify_failures", Json::from(f.verify_failures)),
-            ("retries", Json::from(f.retries)),
-            ("remaps", Json::from(f.remaps)),
-            ("spares_remaining", Json::from(f.spares_remaining)),
-            ("uncorrectable", Json::from(f.uncorrectable)),
-            (
-                "usable_capacity_fraction",
-                Json::from(m.usable_capacity_fraction),
-            ),
-            ("lifetime_years", Json::from(m.lifetime_years)),
-            ("capacity_99_years", Json::from(m.capacity_99_years)),
-            ("capacity_95_years", Json::from(m.capacity_95_years)),
-        ]));
-    }
-    let path = repo_root().join("BENCH_faults.json");
-    match std::fs::write(&path, Json::Arr(rows).to_string()) {
-        Ok(()) => {
-            let _ = writeln!(s, "degradation curve written to {}", path.display());
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
     s
 }
@@ -823,18 +784,16 @@ pub fn faults(scale: Scale, settings: &SweepSettings) -> String {
 /// clean point plus transient-failure and stuck-at points from the
 /// chaos grid), on the write-heavy `gups` workload. Reports lifetime,
 /// the capacity-threshold projections, leveling overhead writes and
-/// migrations, and the fault counters; the table is also written as
-/// `BENCH_leveling.json` at the repository root for the CI artifact.
+/// migrations, and the fault counters.
 ///
 /// Like the chaos grid (and the `sample_period` scaling everywhere
 /// else), the cells shrink the memory to 4 MiB and the rotation
 /// intervals by 10x so a short measured window spans many leveling
 /// rounds and actually lands on stuck-at blocks; the relative overhead
 /// of the three schemes (1 copy per Ψ for Start-Gap, 2 per interval
-/// for WoLFRaM, 2 pages per epoch for SoftWear) is preserved.
+/// for WoLFRaM, 2 pages per epoch for SoftWear) is preserved. A device
+/// that small wears out in about a day, so lifetimes print in days.
 pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
-    use mellow_engine::json::Json;
-
     const WORKLOAD: &str = "gups";
     const LEVELERS: [(&str, LevelerConfig); 3] = [
         (
@@ -900,8 +859,8 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
         s,
         "{:<26} {:>9} {:>10} {:>8} {:>7} {:>7} {:>6} {:>8} {:>10}",
         "variant",
-        "life(yr)",
-        "cap99(yr)",
+        "life(d)",
+        "cap99(d)",
         "ovhd-wr",
         "migr",
         "vfails",
@@ -909,18 +868,18 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
         "usable%",
         "slow-frac"
     );
-    let mut rows: Vec<Json> = Vec::new();
+    let days_per_year = SECONDS_PER_YEAR / 86_400.0;
     for (i, r) in results.iter().enumerate() {
         let (lname, _) = LEVELERS[i / POINTS.len()];
-        let (pname, rate, stuck) = POINTS[i % POINTS.len()];
+        let (pname, _, _) = POINTS[i % POINTS.len()];
         let m = &r.metrics;
         let f = &m.faults;
         let lv = &m.leveling;
         let _ = writeln!(
             s,
             "{lname:<9} {pname:<16} {:>9.2} {:>10.2} {:>8} {:>7} {:>7} {:>6} {:>7.2}% {:>9.1}%",
-            m.lifetime_years,
-            m.capacity_99_years,
+            m.lifetime_years * days_per_year,
+            m.capacity_99_years * days_per_year,
             lv.overhead_writes,
             lv.migrations,
             f.verify_failures,
@@ -928,34 +887,6 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
             m.usable_capacity_fraction * 100.0,
             m.slow_write_fraction * 100.0,
         );
-        rows.push(Json::obj([
-            ("workload", Json::from(WORKLOAD)),
-            ("leveler", Json::from(lname)),
-            ("fault_point", Json::from(pname)),
-            ("transient_rate", Json::from(rate)),
-            ("stuck_at_per_bank", Json::from(stuck)),
-            ("lifetime_years", Json::from(m.lifetime_years)),
-            ("capacity_99_years", Json::from(m.capacity_99_years)),
-            ("capacity_95_years", Json::from(m.capacity_95_years)),
-            ("overhead_writes", Json::from(lv.overhead_writes)),
-            ("migrations", Json::from(lv.migrations)),
-            ("fault_remaps", Json::from(lv.fault_remaps)),
-            ("verify_failures", Json::from(f.verify_failures)),
-            ("remaps", Json::from(f.remaps)),
-            ("spares_remaining", Json::from(f.spares_remaining)),
-            ("uncorrectable", Json::from(f.uncorrectable)),
-            (
-                "usable_capacity_fraction",
-                Json::from(m.usable_capacity_fraction),
-            ),
-        ]));
-    }
-    let path = repo_root().join("BENCH_leveling.json");
-    match std::fs::write(&path, Json::Arr(rows).to_string()) {
-        Ok(()) => {
-            let _ = writeln!(s, "leveling comparison written to {}", path.display());
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
     s
 }
@@ -968,10 +899,7 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
 /// and the usable-capacity fraction; slow pulses widen the drift
 /// window (`slow_write_boost`), so the BE-Mellow+SC rows show the
 /// retention benefit of slow write backs beside the plain-fast
-/// baseline at the same drift rate. The table is also written as
-/// `BENCH_retention.json` at the repository root (overwritten, not
-/// appended: it is a curve, not a trajectory) so CI can upload the
-/// degradation curve as an artifact.
+/// baseline at the same drift rate.
 ///
 /// Like the leveling sweep, the cells shrink the memory — to 1 MiB
 /// here, so a full scrub sweep (blocks-per-bank x interval) completes
@@ -979,7 +907,6 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
 /// written blocks after their deadline; a zero interval disables the
 /// scrubber (demand-read detection only), isolating its contribution.
 pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
-    use mellow_engine::json::Json;
     use mellow_engine::Duration;
     use mellow_nvm::SaturatingMerge;
 
@@ -1034,7 +961,6 @@ pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
         "usable%",
         "slow-frac"
     );
-    let mut rows: Vec<Json> = Vec::new();
     let mut ret_total = mellow_memctrl::RetentionStats::default();
     let mut scrub_total = mellow_memctrl::ScrubStats::default();
     let per_drift = SCRUBS_NS.len() * policies.len();
@@ -1059,32 +985,6 @@ pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
             m.usable_capacity_fraction * 100.0,
             m.slow_write_fraction * 100.0,
         );
-        rows.push(Json::obj([
-            ("workload", Json::from(WORKLOAD)),
-            ("policy", Json::from(pname)),
-            ("base_retention_us", Json::from(base_us)),
-            ("scrub_interval_ns", Json::from(scrub_ns)),
-            (
-                "demand_verify_failures",
-                Json::from(ret.demand_verify_failures),
-            ),
-            ("scrub_reads", Json::from(sc.scrub_reads)),
-            ("scrub_rewrites", Json::from(sc.scrub_rewrites)),
-            ("repairs", Json::from(ret.repairs)),
-            (
-                "retention_uncorrectable",
-                Json::from(ret.retention_uncorrectable),
-            ),
-            ("scrub_bank_conflicts", Json::from(sc.scrub_bank_conflicts)),
-            ("verify_failures", Json::from(m.faults.verify_failures)),
-            ("uncorrectable", Json::from(m.faults.uncorrectable)),
-            (
-                "usable_capacity_fraction",
-                Json::from(m.usable_capacity_fraction),
-            ),
-            ("slow_write_fraction", Json::from(m.slow_write_fraction)),
-            ("ipc", Json::from(m.ipc)),
-        ]));
     }
     let _ = writeln!(
         s,
@@ -1095,22 +995,5 @@ pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
         ret_total.repairs,
         ret_total.retention_uncorrectable,
     );
-    let path = repo_root().join("BENCH_retention.json");
-    match std::fs::write(&path, Json::Arr(rows).to_string()) {
-        Ok(()) => {
-            let _ = writeln!(s, "retention curve written to {}", path.display());
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn repo_root_contains_workspace_manifest() {
-        assert!(repo_root().join("Cargo.toml").exists());
-    }
 }

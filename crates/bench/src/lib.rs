@@ -10,10 +10,12 @@
 //! ```
 //!
 //! Each `figN`/`tabN` subcommand prints the same rows/series the paper
-//! reports (see DESIGN.md §4 for the experiment index). Simulation-based
-//! figures run at the quick scale by default, at the publication scale
-//! with `--full`, or at the CI smoke scale with `--tiny`; analytic
-//! artifacts (Fig. 1, Tables V/VI) are exact at any scale.
+//! reports (see DESIGN.md §4 for the experiment index). `all` prints
+//! every table, the extension studies included; its stdout at the
+//! quick scale is the committed `results_quick.txt`. Simulation-based
+//! figures run at the quick scale by default or at the publication
+//! scale with `--full`; analytic artifacts (Fig. 1, Tables V/VI) are
+//! exact at any scale.
 //!
 //! Simulations run through [`Sweep`]: a parallel, deterministic batch
 //! runner backed by a JSON-lines [`ResultStore`], so repeated or

@@ -43,10 +43,11 @@ impl Scale {
     }
 
     /// A smoke-test scale: just enough simulation to exercise every
-    /// code path in seconds. CI's `figures faults`, `leveling` and
-    /// `retention` sweeps run at it (`--tiny`), as do the benchmark's
-    /// `paper-sweep` workload and the paper-size-cache rows of the
-    /// cycle-vs-event identity test. Not meaningful for paper artifacts.
+    /// code path in seconds. The benchmark's `paper-sweep` workload and
+    /// `--smoke` goldens run at it, as do the four paper-size-cache rows
+    /// of the cycle-vs-event identity test. Not meaningful for paper
+    /// artifacts: at it the fault, leveling and retention sweeps count
+    /// no failures, overhead writes or repairs.
     pub fn tiny() -> Self {
         Scale {
             measure: 60_000,
@@ -54,13 +55,6 @@ impl Scale {
             llc_fills: 0.05,
             sample_period: mellow_engine::Duration::from_us(10),
         }
-    }
-
-    /// Returns the warm-up instruction count for a workload with the
-    /// given expected MPKI.
-    pub fn warmup_for(&self, target_mpki: f64, llc_lines: u64) -> u64 {
-        let fills = (self.llc_fills * llc_lines as f64 * 1000.0 / target_mpki) as u64;
-        fills.max(self.min_warmup)
     }
 }
 
@@ -94,17 +88,6 @@ pub struct MatrixKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn warmup_scales_inversely_with_mpki() {
-        let s = Scale::quick();
-        let llc_lines = 32_768;
-        let heavy = s.warmup_for(56.34, llc_lines);
-        let light = s.warmup_for(1.34, llc_lines);
-        assert!(light > heavy);
-        assert!(light > 20_000_000, "hmmer-class warm-up fills the LLC");
-        assert!(heavy >= s.min_warmup);
-    }
 
     #[test]
     fn experiment_builder_wires_policy() {

@@ -1,65 +1,12 @@
 //! Statistics primitives.
 //!
-//! Every figure of the paper is computed from three kinds of measurements:
-//! event counts ([`Counter`]), time-in-state accumulations ([`BusyTracker`],
-//! e.g. bank utilization and write-drain time), and distributions
-//! ([`Histogram`], e.g. read latency). All are plain data that serialize
-//! as plain data so experiment results can be dumped as JSON rows.
+//! Every figure of the paper is computed from event counts (plain `u64`
+//! fields of each component's stats row), time-in-state accumulations
+//! ([`BusyTracker`], e.g. bank utilization and write-drain time), and
+//! distributions ([`Histogram`], e.g. read latency). All are plain data
+//! so experiment results can be dumped as JSON rows.
 
 use crate::{Duration, SimTime};
-use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use mellow_engine::stats::Counter;
-///
-/// let mut writes = Counter::new();
-/// writes.add(3);
-/// writes.inc();
-/// assert_eq!(writes.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Returns the count as `f64` for ratio arithmetic.
-    #[inline]
-    pub fn get_f64(&self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Accumulates the total time a component spends in a boolean state
 /// (busy/idle, draining/not), tolerating redundant transitions.
@@ -228,16 +175,6 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.get_f64(), 11.0);
-        assert_eq!(c.to_string(), "11");
-    }
 
     #[test]
     fn busy_tracker_accumulates_intervals() {

@@ -264,6 +264,10 @@ mod tests {
         // hmmer (MPKI 1.34) needs far longer than mcf (MPKI 56) to fill
         // the LLC.
         assert!(hmmer.warmup_instructions() > 10 * mcf.warmup_instructions());
+        assert!(
+            hmmer.warmup_instructions() > 20_000_000,
+            "hmmer-class warm-up fills the LLC"
+        );
     }
 
     #[test]

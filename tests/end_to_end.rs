@@ -3,9 +3,9 @@
 //!
 //! These run on a scaled-down system (small caches, dense traffic,
 //! shrunken sample periods) so every dynamic — LLC fills, writebacks,
-//! eager writes, drains, quota periods — appears within a test-sized
-//! window. The full-size configuration is exercised by the `figures`
-//! bench harness.
+//! eager writes, drains (once banks are scarce), quota periods —
+//! appears within a test-sized window. The full-size configuration is
+//! exercised by the `figures` bench harness.
 
 use mellow_writes::bench::{try_experiment_for, Scale};
 use mellow_writes::core::WritePolicy;
@@ -235,6 +235,22 @@ fn bank_count_sweep_shrinks_mellow_benefit() {
     assert!(
         wide > narrow,
         "16-bank gain {wide} should exceed 4-bank gain {narrow}"
+    );
+}
+
+#[test]
+fn write_drains_appear_when_banks_are_scarce() {
+    // Fig. 13's drain path: a drain starts only when the 32-entry write
+    // queue fills. At 16 banks the queue empties too fast for that, so
+    // the test starves lbm of banks the way Fig. 18 does.
+    let m = scaled("lbm", WritePolicy::norm(), 7)
+        .configure(|c| c.mem = c.mem.clone().with_banks(4, 1))
+        .run();
+    assert!(m.ctrl.write_drains > 0, "lbm at 4 banks never drained");
+    assert!(
+        m.drain_fraction > 0.0,
+        "{} drains but no drain time",
+        m.ctrl.write_drains
     );
 }
 
