@@ -10,10 +10,15 @@
 # ratio per metric. Both runs of a pair share the host's conditions, so
 # the ratio cancels most of the host's noise.
 #
-# A metric in GATED fails on a workload when both hold:
+# Every end-to-end metric BENCHMARK.json declares is gated (GATED is
+# read from its `end_to_end` list). A gated metric fails on a workload
+# when both hold:
 #   - the median over pairs of the head/base ratio is worse than the
 #     metric's BENCHMARK.json bound, and
 #   - the head loses at least LOSSES_TO_FAIL of the PAIRS pairs.
+# A pair whose base run did not report a metric (a base that predates
+# it) gives no ratio for it; a head run that does not report it stops
+# the script with an error.
 # A workload also fails on any run that reports `correct: false` or
 # gives no result, and when the head's failed share of cell runs is
 # larger than the base's. A workload the base build does not know is
@@ -26,7 +31,6 @@ set -euo pipefail
 PAIRS=5
 RUN_SECONDS=3
 LOSSES_TO_FAIL=4
-GATED='["ips", "wall_s"]'
 TABLE=bench-ab.json
 
 if [[ $# -ne 3 ]]; then
@@ -37,6 +41,7 @@ base_bin=$1
 head_bin=$2
 seed=$3
 spec="$(dirname "$0")/../../BENCHMARK.json"
+GATED=$(jq -c '[.end_to_end[].name]' "$spec")
 
 # One run of `bench` ($1) on workload $2, printed as one JSON object:
 # the run's result line, {"skipped": true} when the build does not know
@@ -106,7 +111,8 @@ jq -s --slurpfile spec "$spec" --argjson seed "$seed" --argjson pairs "$PAIRS" \
          [$mine[] | select(.base.error == null and .head.error == null)] as $done
          | ([$gated[] as $m | $spec[0].end_to_end[] | select(.name == $m)
              | . as $d
-             | [$done[] | .head[$d.name] / .base[$d.name]] as $ratios
+             | [$done[] | select(.base[$d.name] | type == "number")
+                | .head[$d.name] / .base[$d.name]] as $ratios
              | ($ratios | median) as $median
              | ([$ratios[] | select(worse($d.better; 1))] | length) as $lost
              | (if $d.better == "higher" then 1 - $d.bound else 1 + $d.bound end) as $limit

@@ -1,5 +1,6 @@
 //! Memory-system configuration (Table II of the paper).
 
+use crate::queues::MAX_BANKS;
 use mellow_engine::{Clock, Duration};
 use mellow_nvm::{FaultConfig, LevelerConfig, RetentionConfig};
 
@@ -12,7 +13,8 @@ pub struct MemConfig {
     /// puts `Norm` lifetimes of write-heavy workloads in the paper's
     /// single-digit-years range (see DESIGN.md).
     pub capacity_bytes: u64,
-    /// Number of banks (Table II: 4, 8 or 16; default 16).
+    /// Number of banks (Table II: 4, 8 or 16; default 16). At most 64:
+    /// the controller keeps its per-bank state in `u64` masks.
     pub num_banks: usize,
     /// Number of ranks the banks spread over (1, 2 or 4; default 4).
     pub num_ranks: usize,
@@ -183,6 +185,11 @@ impl MemConfig {
     /// Panics on an inconsistent configuration.
     pub fn validate(&self) {
         assert!(self.num_banks > 0, "bank count must be non-zero");
+        assert!(
+            self.num_banks <= MAX_BANKS,
+            "bank count {} exceeds {MAX_BANKS}, the width of the controller's bank masks",
+            self.num_banks
+        );
         assert!(self.num_ranks > 0, "rank count must be non-zero");
         assert_eq!(
             self.num_banks % self.num_ranks,
@@ -312,6 +319,13 @@ mod tests {
             c.validate();
             assert_eq!(c.num_banks, banks);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the width of the controller's bank masks")]
+    fn more_than_64_banks_rejected() {
+        MemConfig::paper_default().with_banks(64, 4).validate();
+        MemConfig::paper_default().with_banks(65, 1).validate();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Mellow Writes issue logic. Verify, drift detection and scrub live in
 //! the `reliability` module, which the scheduler calls into.
 
-use crate::queues::{QueuedReq, ReadPick, RequestQueues};
+use crate::queues::{banks_in, due_mask, QueuedReq, ReadPick, RequestQueues};
 use crate::reliability::{Reliability, Verified};
 use crate::{FaultStats, LineMapping, MemConfig, RetentionStats, ScrubStats};
 use mellow_core::{
@@ -147,12 +147,12 @@ impl InFlight {
     }
 }
 
-/// Per-bank state in struct-of-arrays layout: the hot loops
-/// ([`Controller::issue`]'s round-robin pass and
-/// [`Controller::compute_next_actionable`]) read exactly one field
-/// (`busy_until`) across *all* banks per call, so keeping each field in
-/// its own dense lane turns those sweeps into contiguous scans instead
-/// of strided walks over a struct array.
+/// Per-bank state in struct-of-arrays layout. The only sweep across
+/// *all* banks, [`free_mask`](Self::free_mask) in
+/// [`Controller::issue`] and [`Controller::compute_next_actionable`],
+/// reads one field (`busy_until`), so keeping each field in its own
+/// dense lane makes that sweep a contiguous scan; every other access
+/// goes to the few banks a mask selects.
 #[derive(Debug)]
 struct Banks {
     open_row: Vec<Option<u64>>,
@@ -175,6 +175,11 @@ impl Banks {
     fn len(&self) -> usize {
         self.busy_until.len()
     }
+
+    /// The banks free at `now`: those whose last op ends at or before it.
+    fn free_mask(&self, now: SimTime) -> u64 {
+        due_mask(&self.busy_until, now)
+    }
 }
 
 /// The cycle-level memory controller for a resistive main memory.
@@ -188,6 +193,7 @@ impl Banks {
 ///
 /// The queues are held per bank (see the `queues` module), so bank
 /// arbitration and read-forwarding lookups only walk the target bank,
+/// each pass of a full tick visits only the banks its masks select,
 /// and [`tick`](Self::tick) fast-paths any cycle provably before the
 /// next actionable event. [`tick_full`](Self::tick_full) runs every
 /// cycle in full and is the reference that skip is checked against.
@@ -545,6 +551,10 @@ impl Controller {
         if transition_pending {
             return SimTime::ZERO;
         }
+        let issueable = self.startable_mask();
+        if issueable & self.banks.free_mask(now) != 0 {
+            return SimTime::ZERO;
+        }
         let mut next = SimTime::MAX;
         if let Some(t) = self.completions.next_due() {
             next = next.min(t);
@@ -556,28 +566,25 @@ impl Controller {
             next = next.min(self.next_period_at);
         }
         next = next.min(self.reliability.next_due(&self.banks.busy_until));
-        for bank_idx in 0..self.banks.len() {
-            // `decide_write` is non-idle exactly when a write is queued
-            // or an eager write is queued with no read ahead of it;
-            // OR-ed with the read check this collapses to plain queue
-            // occupancy, so no policy evaluation is needed here.
-            let issueable = if self.draining {
-                self.queues.writes_at(bank_idx) > 0
-            } else {
-                self.queues.reads_at(bank_idx) > 0
-                    || self.queues.writes_at(bank_idx) > 0
-                    || self.queues.eager_at(bank_idx) > 0
-            };
-            if !issueable {
-                continue;
-            }
-            let busy_until = self.banks.busy_until[bank_idx];
-            if busy_until <= now {
-                return SimTime::ZERO;
-            }
-            next = next.min(busy_until);
+        // Every issueable bank is busy: each can act once it falls idle.
+        for bank_idx in banks_in(issueable) {
+            next = next.min(self.banks.busy_until[bank_idx]);
         }
         next
+    }
+
+    /// The banks with work an issue pass can start: a queued demand
+    /// write while draining (reads are blocked and eager writes never
+    /// drain), else any queued request. `decide_write` is non-idle
+    /// exactly when a write is queued or an eager write is queued with
+    /// no read ahead of it; OR-ed with the read check this collapses to
+    /// plain queue occupancy, so no policy evaluation is needed here.
+    fn startable_mask(&self) -> u64 {
+        if self.draining {
+            self.queues.write_mask()
+        } else {
+            self.queues.read_mask() | self.queues.write_mask() | self.queues.eager_mask()
+        }
     }
 
     fn drain_forwarded(&mut self, now: SimTime) {
@@ -740,10 +747,10 @@ impl Controller {
         if self.draining {
             return; // drains must make forward progress
         }
-        for bank_idx in 0..self.banks.len() {
-            if self.queues.reads_at(bank_idx) == 0 {
-                continue;
-            }
+        // A cancel requeues only writes, so the read mask holds for the
+        // whole pass; ascending order keeps the wear and energy sums in
+        // bank order.
+        for bank_idx in banks_in(self.queues.read_mask()) {
             let Some(op) = self.banks.in_flight[bank_idx] else {
                 continue;
             };
@@ -824,16 +831,24 @@ impl Controller {
 
     /// One round-robin arbitration pass over the banks. Returns whether
     /// any activation was blocked by tFAW (it must retry next cycle).
+    ///
+    /// The pass visits only the free banks with startable work or a due
+    /// scrub visit, a set fixed before it starts: visiting a bank
+    /// changes only that bank's sub-queues, busy time, open row,
+    /// in-flight slot and scrub clock (a scrub repair maps back to the
+    /// scrubbed bank), and `draining` holds for the whole pass. The
+    /// shared bus, tFAW and the write-queue total change *how* a later
+    /// bank issues, never *whether* it is free, has work or is due.
     fn issue(&mut self, now: SimTime) -> bool {
         let n = self.banks.len();
         let start = self.rr_start;
         self.rr_start = (self.rr_start + 1) % n;
+        let scrub_due = self.reliability.scrub_due_mask(now);
+        let visit = self.banks.free_mask(now) & (self.startable_mask() | scrub_due);
+        // Round-robin order: `start` and up, then the banks below it.
+        let from_start = !0u64 << start;
         let mut tfaw_blocked = false;
-        for i in 0..n {
-            let bank_idx = (start + i) % n;
-            if now < self.banks.busy_until[bank_idx] {
-                continue;
-            }
+        for bank_idx in banks_in(visit & from_start).chain(banks_in(visit & !from_start)) {
             // Whether foreground work takes this idle-bank window; a due
             // scrub visit gets only the windows it leaves.
             let took_bank = if self.draining {
@@ -884,7 +899,7 @@ impl Controller {
                     WriteDecision::Idle => false,
                 }
             };
-            if self.reliability.scrub_due(bank_idx, now) {
+            if scrub_due & (1 << bank_idx) != 0 {
                 if took_bank {
                     self.reliability.scrub_lost_window();
                 } else {

@@ -14,7 +14,7 @@
 //! drift state exists: every hook is one `None` check and no fault or
 //! drift randomness is drawn (the additivity guarantee).
 
-use crate::queues::{QueuedReq, RequestQueues};
+use crate::queues::{due_mask, QueuedReq, RequestQueues};
 use crate::MemConfig;
 use mellow_engine::{Duration, SimTime};
 use mellow_nvm::{
@@ -333,10 +333,14 @@ impl Reliability {
         self.retention.is_some() && self.scrub_interval > Duration::ZERO
     }
 
-    /// Whether a scrub visit is due at `bank` (it still needs an idle
-    /// window).
-    pub(crate) fn scrub_due(&self, bank: usize, now: SimTime) -> bool {
-        self.scrub_active() && now >= self.next_scrub_at[bank]
+    /// The banks with a scrub visit due at `now` (each still needs an
+    /// idle window); zero when the scrubber is off.
+    pub(crate) fn scrub_due_mask(&self, now: SimTime) -> u64 {
+        if self.scrub_active() {
+            due_mask(&self.next_scrub_at, now)
+        } else {
+            0
+        }
     }
 
     /// Starts a due scrub visit at `bank`: advances the bank's cursor
