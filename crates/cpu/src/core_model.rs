@@ -108,6 +108,10 @@ enum Entry {
 /// (returning `false` to stall the core when the L1 cannot accept it).
 /// Report load completions with [`complete`](Self::complete).
 ///
+/// A full ROB behind an outstanding miss costs one walk per event, not
+/// one per cycle: while the core's *issue license* is clear, no op wants
+/// issue, so the issue walk and [`stall`](Self::stall)'s scan are skipped.
+///
 /// See the crate-level documentation for an end-to-end example.
 pub struct Core {
     cfg: CoreConfig,
@@ -119,11 +123,11 @@ pub struct Core {
     pending_nonmem: u32,
     /// The current record's memory op, once its `nonmem` prefix is in.
     pending_op: Option<crate::MemOp>,
-    /// ROB entries in `MemState::Waiting`. Maintained at the three
-    /// state-transition sites so [`stall`](Self::stall) can classify a
-    /// fully-issued ROB as `Blocked` in O(1) instead of scanning all
-    /// `rob_entries` every event-kernel jump attempt.
-    waiting_ops: u32,
+    /// The issue license: set by each event that can make a `Waiting` op
+    /// issueable (a memory op dispatched, `complete`, `retire` popping an
+    /// op that is not `Done`), cleared only by an issue walk that reaches
+    /// the ROB's end.
+    issue_license: bool,
     next_id: u64,
     stats: CoreStats,
 }
@@ -158,7 +162,7 @@ impl Core {
             rob_insts: 0,
             pending_nonmem: 0,
             pending_op: None,
-            waiting_ops: 0,
+            issue_license: false,
             next_id: 0,
             stats: CoreStats::default(),
         }
@@ -208,6 +212,8 @@ impl Core {
                         (true, MemState::Waiting) => false,
                     };
                     if can_retire {
+                        // An issued store leaving unblocks its dependents.
+                        self.issue_license |= *state != MemState::Done;
                         self.rob.pop_front();
                         self.rob_insts -= 1;
                         self.stats.retired_instructions += 1;
@@ -267,7 +273,7 @@ impl Core {
                         depends: op.depends_on_prev,
                         state: MemState::Waiting,
                     });
-                    self.waiting_ops += 1;
+                    self.issue_license = true;
                     self.rob_insts += 1;
                     budget -= 1;
                 }
@@ -275,12 +281,19 @@ impl Core {
         }
     }
 
+    /// Issues waiting memory ops in ROB order, up to `mem_issue_width`
+    /// and until the hierarchy rejects one. A walk that reaches the ROB's
+    /// end clears the issue license; while it is clear, this returns at once.
     fn issue_ready<F: FnMut(MemAccess) -> bool>(&mut self, mut issue: F) {
+        if !self.issue_license {
+            debug_assert!(!self.wants_issue(), "missed an issue-license event");
+            return;
+        }
         let mut issued = 0;
         let mut earlier_incomplete = false;
         for entry in self.rob.iter_mut() {
             if issued >= self.cfg.mem_issue_width {
-                break;
+                return;
             }
             if let Entry::Mem {
                 id,
@@ -298,23 +311,24 @@ impl Core {
                     });
                     if accepted {
                         *state = MemState::Issued;
-                        self.waiting_ops -= 1;
                         issued += 1;
                     } else {
                         // The hierarchy is full; no point trying younger ops.
-                        break;
+                        return;
                     }
                 }
                 earlier_incomplete |= *state != MemState::Done;
             }
         }
+        self.issue_license = false;
     }
 
     /// Classifies the core's current state for the event kernel
     /// (see [`CoreStall`]).
     ///
     /// The classification is conservative: anything not provably a
-    /// stable no-op reports `Active`.
+    /// stable no-op reports `Active`. A blocked core is `Blocked` in O(1)
+    /// while the issue license is clear; otherwise the ROB is scanned.
     pub fn stall(&self) -> CoreStall {
         if self.rob_insts < self.cfg.rob_entries {
             return CoreStall::Active; // dispatch would make progress
@@ -330,23 +344,30 @@ impl Core {
             }) if *state != MemState::Done => {}
             _ => return CoreStall::Active,
         }
-        // A ROB with no Waiting op cannot want issue — the common fully
-        // issued case resolves in O(1), no scan.
-        if self.waiting_ops == 0 {
+        if !self.issue_license {
+            debug_assert!(!self.wants_issue(), "missed an issue-license event");
             return CoreStall::Blocked;
         }
-        // Mirror `issue_ready`: find the first Waiting op that would
-        // attempt issue this cycle.
+        if self.wants_issue() {
+            CoreStall::BlockedWantsIssue
+        } else {
+            CoreStall::Blocked
+        }
+    }
+
+    /// Whether some `Waiting` op would attempt issue this cycle: the
+    /// walk `issue_ready` makes, without issuing.
+    fn wants_issue(&self) -> bool {
         let mut earlier_incomplete = false;
         for entry in &self.rob {
             if let Entry::Mem { depends, state, .. } = entry {
                 if *state == MemState::Waiting && !(*depends && earlier_incomplete) {
-                    return CoreStall::BlockedWantsIssue;
+                    return true;
                 }
                 earlier_incomplete |= *state != MemState::Done;
             }
         }
-        CoreStall::Blocked
+        false
     }
 
     /// Batch-applies `cycles` ticks spent in a [`CoreStall::Blocked`]
@@ -370,10 +391,8 @@ impl Core {
         for entry in self.rob.iter_mut() {
             if let Entry::Mem { id: eid, state, .. } = entry {
                 if *eid == id {
-                    if *state == MemState::Waiting {
-                        self.waiting_ops -= 1;
-                    }
                     *state = MemState::Done;
+                    self.issue_license = true;
                     return;
                 }
             }
@@ -702,49 +721,163 @@ mod tests {
         assert_eq!(ticked.stall(), jumped.stall());
     }
 
-    /// The waiting-op counter that short-circuits `stall()` must agree
-    /// with a direct ROB scan across dispatch, issue, completion, and
-    /// retirement.
+    /// Ticks `core` once, accepting every access; returns the ids issued.
+    fn tick_accepting(core: &mut Core) -> Vec<ReqId> {
+        let mut issued = Vec::new();
+        core.tick(|a| {
+            issued.push(a.id);
+            true
+        });
+        issued
+    }
+
+    /// The records of a scripted case: `ops` in order, each with its
+    /// `nonmem` prefix, then a non-memory run long enough that no further
+    /// memory op is dispatched.
+    fn scripted(ops: &[(u32, MemOp)]) -> Box<dyn TraceSource> {
+        let mut records: Vec<TraceRecord> = ops
+            .iter()
+            .map(|&(nonmem, op)| TraceRecord {
+                nonmem,
+                op: Some(op),
+            })
+            .collect();
+        records.push(TraceRecord {
+            nonmem: u32::MAX,
+            op: None,
+        });
+        Box::new(Cycle::new(records))
+    }
+
+    /// License event `retire`: a store leaves the ROB once issued, which
+    /// unblocks the dependent load behind it in the same tick although
+    /// nothing else is dispatched or completed.
     #[test]
-    fn waiting_counter_matches_rob_scan() {
-        let trace = Cycle::new(vec![
-            TraceRecord {
-                nonmem: 2,
-                op: Some(MemOp::load(64)),
-            },
-            TraceRecord {
-                nonmem: 0,
-                op: Some(MemOp::store(128).dependent()),
-            },
-            TraceRecord {
-                nonmem: 1,
-                op: Some(MemOp::load(192).dependent()),
-            },
+    fn retiring_an_issued_store_unblocks_its_dependent_load() {
+        let trace = scripted(&[(0, MemOp::store(64)), (0, MemOp::load(128).dependent())]);
+        let mut core = Core::new(CoreConfig::default(), trace);
+        // The store issues; the load behind it waits on it.
+        assert_eq!(tick_accepting(&mut core), [ReqId(0)]);
+        let dispatched = (core.stats().loads, core.stats().stores);
+        assert_eq!(tick_accepting(&mut core), [ReqId(1)]);
+        assert_eq!((core.stats().loads, core.stats().stores), dispatched);
+        assert_eq!(core.retired_instructions(), 1, "only the store retired");
+    }
+
+    /// License event `complete`: completing a load that is not at the
+    /// ROB head unblocks the dependent load behind it.
+    #[test]
+    fn completing_a_non_head_load_unblocks_its_dependent_load() {
+        // An outstanding head load holds back 64 non-memory instructions,
+        // an independent load and a load that depends on it.
+        let trace = scripted(&[
+            (0, MemOp::load(64)),
+            (64, MemOp::load(128)),
+            (0, MemOp::load(192).dependent()),
         ]);
-        let mut core = Core::new(CoreConfig::default(), Box::new(trace));
-        let mut in_flight: Vec<ReqId> = Vec::new();
-        for cycle in 0..500u64 {
-            let fl = &mut in_flight;
-            // Alternate acceptance so Waiting ops linger in the ROB.
-            core.tick(|a| {
-                if cycle % 3 != 0 {
-                    fl.push(a.id);
-                    true
-                } else {
-                    false
+        let mut core = Core::new(CoreConfig::default(), trace);
+        let mut issued = Vec::new();
+        while core.rob_occupancy() < 192 {
+            issued.extend(tick_accepting(&mut core));
+        }
+        assert_eq!(issued, [ReqId(0), ReqId(1)]);
+        // The head completes and retires; the 64-instruction run takes
+        // over the head for several cycles.
+        core.complete(ReqId(0));
+        assert_eq!(tick_accepting(&mut core), []);
+        assert!(matches!(core.rob.front(), Some(Entry::NonMem(_))));
+        core.complete(ReqId(1));
+        assert_eq!(tick_accepting(&mut core), [ReqId(2)]);
+        assert!(matches!(core.rob.front(), Some(Entry::NonMem(_))));
+    }
+
+    /// License event `dispatch`: an independent load issues in the cycle
+    /// it is dispatched, behind a dependent chain that stays blocked.
+    #[test]
+    fn dispatched_independent_load_issues_behind_a_blocked_chain() {
+        let trace = scripted(&[
+            (0, MemOp::load(64)),
+            (0, MemOp::load(128).dependent()),
+            (0, MemOp::load(192).dependent()),
+            (30, MemOp::load(256)),
+        ]);
+        let mut core = Core::new(CoreConfig::default(), trace);
+        assert_eq!(tick_accepting(&mut core), [ReqId(0)]);
+        // Three cycles of non-memory dispatch issue nothing.
+        for _ in 0..3 {
+            assert_eq!(tick_accepting(&mut core), []);
+        }
+        assert_eq!(tick_accepting(&mut core), [ReqId(3)]);
+        assert_eq!(core.stats().loads, 4);
+    }
+
+    /// The issue license against the reference scan, on random records
+    /// (dependent and independent loads and stores behind random
+    /// non-memory runs), random rejects and completions in random order,
+    /// on three core shapes. After every tick and after every batch of
+    /// completions, a clear license means no op would attempt issue, and
+    /// `stall()` equals the scan's classification.
+    #[test]
+    fn issue_license_matches_rob_scan() {
+        let configs = [(8, 192, 2), (4, 32, 1), (2, 8, 3)];
+        for (seed, (issue_width, rob_entries, mem_issue_width)) in configs.into_iter().enumerate() {
+            let mut rng = proptest::TestRng::seed_from(seed as u64);
+            let records = (0..64)
+                .map(|_| {
+                    let addr = 64 * rng.below(1 << 12);
+                    let op = match rng.below(5) {
+                        0 => None,
+                        1 | 2 => Some(MemOp::load(addr)),
+                        _ => Some(MemOp::store(addr)),
+                    };
+                    let depends = rng.below(2) == 0;
+                    TraceRecord {
+                        nonmem: rng.below(24) as u32,
+                        op: op.map(|o| if depends { o.dependent() } else { o }),
+                    }
+                })
+                .collect();
+            let cfg = CoreConfig {
+                issue_width,
+                rob_entries,
+                mem_issue_width,
+            };
+            let mut core = Core::new(cfg, Box::new(Cycle::new(records)));
+            let check = |core: &Core, cycle: u32| {
+                let wants = core.wants_issue();
+                assert!(
+                    core.issue_license || !wants,
+                    "seed {seed}, cycle {cycle}: license clear, yet an op wants issue"
+                );
+                let head_waits = matches!(
+                    core.rob.front(),
+                    Some(Entry::Mem { is_store: false, state, .. }) if *state != MemState::Done
+                );
+                let scanned = match (core.rob_insts == rob_entries && head_waits, wants) {
+                    (false, _) => CoreStall::Active,
+                    (true, false) => CoreStall::Blocked,
+                    (true, true) => CoreStall::BlockedWantsIssue,
+                };
+                assert_eq!(core.stall(), scanned, "seed {seed}, cycle {cycle}");
+            };
+            let mut in_flight: Vec<ReqId> = Vec::new();
+            for cycle in 0..20_000 {
+                core.tick(|a| {
+                    let accepted = rng.below(4) != 0;
+                    if accepted {
+                        in_flight.push(a.id);
+                    }
+                    accepted
+                });
+                check(&core, cycle);
+                for _ in 0..rng.below(3) {
+                    if !in_flight.is_empty() {
+                        let i = rng.below(in_flight.len() as u64) as usize;
+                        core.complete(in_flight.swap_remove(i));
+                    }
                 }
-            });
-            if cycle % 7 == 0 {
-                for id in in_flight.drain(..) {
-                    core.complete(id);
-                }
+                check(&core, cycle);
             }
-            let scanned = core
-                .rob
-                .iter()
-                .filter(|e| matches!(e, Entry::Mem { state, .. } if *state == MemState::Waiting))
-                .count() as u32;
-            assert_eq!(core.waiting_ops, scanned, "cycle {cycle}");
         }
     }
 
