@@ -302,12 +302,14 @@ impl Cache {
 
     /// Returns `true` when the input queue is empty (the "LLC idle"
     /// condition of §IV-B1).
+    #[inline]
     pub fn input_idle(&self) -> bool {
         self.input.is_empty()
     }
 
     /// Returns `true` when the input queue is full, i.e. the next
     /// `try_demand`/`try_fetch`/`try_writeback` will be rejected.
+    #[inline]
     pub fn input_full(&self) -> bool {
         self.input.len() >= self.cfg.input_capacity
     }
@@ -324,6 +326,7 @@ impl Cache {
     /// A returned time at or before `now` means the cache still has due
     /// work (e.g. its per-tick port budget ran out) and must be ticked
     /// every cycle.
+    #[inline]
     pub fn next_event(&self, now: SimTime) -> Option<SimTime> {
         let head = self.input.front()?;
         if self.head_stalled_on_mshrs(now) {
@@ -381,6 +384,7 @@ impl Cache {
     /// misses down, writebacks down) holds an undelivered message — the
     /// owner retries those transfers every cycle, so the cache cannot be
     /// skipped over.
+    #[inline]
     pub fn has_pending_transfers(&self) -> bool {
         !(self.completions.is_empty()
             && self.fills_up.is_empty()
@@ -398,6 +402,7 @@ impl Cache {
         tag * self.num_sets + set as u64
     }
 
+    #[inline]
     fn try_push(&mut self, msg: Incoming, now: SimTime) -> bool {
         if self.input.len() >= self.cfg.input_capacity {
             self.stats.input_rejects += 1;
@@ -412,6 +417,7 @@ impl Cache {
 
     /// Offers a demand access carrying a requester id (the core→L1
     /// interface). Returns `false` when the input queue is full.
+    #[inline]
     pub fn try_demand(&mut self, id: AccessId, line: u64, is_store: bool, now: SimTime) -> bool {
         self.try_push(
             Incoming::Demand {
@@ -425,6 +431,7 @@ impl Cache {
 
     /// Offers an id-less line fetch from the cache above. Returns
     /// `false` when the input queue is full.
+    #[inline]
     pub fn try_fetch(&mut self, line: u64, now: SimTime) -> bool {
         self.try_push(
             Incoming::Demand {
@@ -438,6 +445,7 @@ impl Cache {
 
     /// Offers a writeback from the cache above. Returns `false` when the
     /// input queue is full.
+    #[inline]
     pub fn try_writeback(&mut self, line: u64, now: SimTime) -> bool {
         self.try_push(Incoming::Writeback { line }, now)
     }
@@ -495,7 +503,22 @@ impl Cache {
 
     /// Advances the cache by one tick, performing up to `ports` lookups
     /// whose latency has elapsed.
+    ///
+    /// Inlined into the caller as one compare: a tick with the input
+    /// empty or its head not yet due changes nothing, so only a due head
+    /// reaches the out-of-line port loop. A due head stalled on a full
+    /// MSHR file still reaches it, to count its stall tick.
+    #[inline]
     pub fn tick(&mut self, now: SimTime) {
+        if self.input.front().is_some_and(|head| head.ready <= now) {
+            self.tick_ports(now);
+        }
+    }
+
+    /// The port loop behind [`tick`](Self::tick)'s guard: up to `ports`
+    /// lookups, in input order, stopping at a head not yet due or
+    /// stalled on a full MSHR file.
+    fn tick_ports(&mut self, now: SimTime) {
         for _ in 0..self.cfg.ports {
             let Some(head) = self.input.front() else {
                 break;
@@ -590,34 +613,40 @@ impl Cache {
 
     /// Removes and returns the next completed demand id (top-level
     /// interface).
+    #[inline]
     pub fn pop_completion(&mut self) -> Option<AccessId> {
         self.completions.pop_front()
     }
 
     /// Removes and returns the next line available for the level above.
+    #[inline]
     pub fn pop_fill_up(&mut self) -> Option<u64> {
         self.fills_up.pop_front()
     }
 
     /// Returns the next line fetch for the level below without removing
     /// it.
+    #[inline]
     pub fn peek_miss_down(&self) -> Option<u64> {
         self.miss_down.front().copied()
     }
 
     /// Removes the fetch returned by [`peek_miss_down`](Self::peek_miss_down).
+    #[inline]
     pub fn pop_miss_down(&mut self) -> Option<u64> {
         self.miss_down.pop_front()
     }
 
     /// Returns the next writeback for the level below without removing
     /// it.
+    #[inline]
     pub fn peek_writeback_down(&self) -> Option<u64> {
         self.wb_down.front().copied()
     }
 
     /// Removes the writeback returned by
     /// [`peek_writeback_down`](Self::peek_writeback_down).
+    #[inline]
     pub fn pop_writeback_down(&mut self) -> Option<u64> {
         self.wb_down.pop_front()
     }
@@ -1053,6 +1082,95 @@ mod tests {
         }
         jumped.fast_forward_stalled(CoreCycles::new(42));
         assert_eq!(ticked.stats(), jumped.stats());
+    }
+
+    /// Drains the four output queues: completions, fills up, misses
+    /// down, writebacks down.
+    fn drain_outputs(c: &mut Cache) -> (Vec<AccessId>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        (
+            std::iter::from_fn(|| c.pop_completion()).collect(),
+            std::iter::from_fn(|| c.pop_fill_up()).collect(),
+            std::iter::from_fn(|| c.pop_miss_down()).collect(),
+            std::iter::from_fn(|| c.pop_writeback_down()).collect(),
+        )
+    }
+
+    /// `tick`'s guard must skip only ticks on which the port loop would
+    /// change nothing. Two caches built alike take one random stream of
+    /// demands, fetches, writebacks and fills at random times; one is
+    /// ticked through `tick`, the other through the unguarded
+    /// `tick_ports`. The cycle-vs-event tests cannot see a wrong guard,
+    /// because both of their tick loops run the same `tick`.
+    #[test]
+    fn tick_guard_matches_the_port_loop() {
+        let two_ports = CacheConfig {
+            hit_latency: Duration::from_ps(1500),
+            mshrs: 3,
+            input_capacity: 6,
+            ports: 2,
+            ..tiny_cfg()
+        };
+        for (cfg, seed) in [(tiny_cfg(), 1), (two_ports, 2)] {
+            let mut guarded = Cache::new(cfg.clone());
+            let mut looped = Cache::new(cfg);
+            let mut rng = DetRng::seed_from(seed);
+            let mut now = SimTime::ZERO;
+            let mut next_id = 0;
+            let mut outstanding: Vec<u64> = Vec::new();
+            // Ticks that met an empty input, a head not yet due, a due
+            // head stalled on a full MSHR file, and a due head served.
+            let mut seen = [0u32; 4];
+            for step in 0..20_000u64 {
+                // Mostly one 500 ps cycle, sometimes none or several.
+                let cycles = [0, 1, 1, 1, 1, 1, 2, 5][rng.below(8) as usize];
+                now += Duration::from_ps(500 * cycles);
+                // Phases of busy input with fills, busy input without
+                // (the MSHR file fills up), and sparse input (it drains).
+                let (fill_chance, max_offers) =
+                    [(0.3, 3), (0.02, 3), (0.3, 1)][(step / 400 % 3) as usize];
+                if !outstanding.is_empty() && rng.chance(fill_chance) {
+                    let pick = rng.below(outstanding.len() as u64) as usize;
+                    let line = outstanding.swap_remove(pick);
+                    guarded.deliver_fill(line, now);
+                    looped.deliver_fill(line, now);
+                }
+                for _ in 0..rng.below(max_offers) {
+                    let line = rng.below(24);
+                    let accepted = match rng.below(4) {
+                        0 | 1 => {
+                            let (id, is_store) = (AccessId(next_id), rng.chance(0.3));
+                            next_id += 1;
+                            [&mut guarded, &mut looped]
+                                .map(|c| c.try_demand(id, line, is_store, now))
+                        }
+                        2 => [&mut guarded, &mut looped].map(|c| c.try_fetch(line, now)),
+                        _ => [&mut guarded, &mut looped].map(|c| c.try_writeback(line, now)),
+                    };
+                    assert_eq!(accepted[0], accepted[1], "step {step}");
+                }
+                seen[match looped.input.front() {
+                    None => 0,
+                    Some(head) if head.ready > now => 1,
+                    Some(_) if looped.head_stalled_on_mshrs(now) => 2,
+                    Some(_) => 3,
+                }] += 1;
+                guarded.tick(now);
+                looped.tick_ports(now);
+                assert_eq!(guarded.stats(), looped.stats(), "step {step}");
+                assert_eq!(
+                    guarded.next_event(now),
+                    looped.next_event(now),
+                    "step {step}"
+                );
+                let out = drain_outputs(&mut guarded);
+                assert_eq!(out, drain_outputs(&mut looped), "step {step}");
+                outstanding.extend(out.2);
+            }
+            assert!(
+                seen.iter().all(|&n| n >= 500),
+                "too few of some tick kind: {seen:?}"
+            );
+        }
     }
 
     #[test]

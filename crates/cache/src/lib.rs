@@ -48,6 +48,7 @@ pub struct AccessId(pub u64);
 /// assert_eq!(line_of(0x3F, 64), 0);
 /// assert_eq!(line_of(0x40, 64), 1);
 /// ```
+#[inline]
 pub fn line_of(addr: u64, line_bytes: u64) -> u64 {
     assert!(
         line_bytes.is_power_of_two(),

@@ -182,6 +182,7 @@ impl Core {
         self.stats.cycles += CoreCycles::ONE;
     }
 
+    #[inline]
     fn retire(&mut self) {
         let mut budget = self.cfg.issue_width;
         let mut retired_any = false;
@@ -231,6 +232,7 @@ impl Core {
         }
     }
 
+    #[inline]
     fn dispatch(&mut self) {
         let mut budget = self.cfg.issue_width;
         while budget > 0 && self.rob_insts < self.cfg.rob_entries {
@@ -329,6 +331,7 @@ impl Core {
     /// The classification is conservative: anything not provably a
     /// stable no-op reports `Active`. A blocked core is `Blocked` in O(1)
     /// while the issue license is clear; otherwise the ROB is scanned.
+    #[inline]
     pub fn stall(&self) -> CoreStall {
         if self.rob_insts < self.cfg.rob_entries {
             return CoreStall::Active; // dispatch would make progress
@@ -412,6 +415,7 @@ impl Core {
     }
 
     /// Returns instructions retired so far.
+    #[inline]
     pub fn retired_instructions(&self) -> u64 {
         self.stats.retired_instructions
     }

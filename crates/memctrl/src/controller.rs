@@ -430,6 +430,7 @@ impl Controller {
 
     /// Returns `true` when the Eager Mellow queue can accept another
     /// entry (the LLC checks before probing for a candidate).
+    #[inline]
     pub fn eager_has_room(&self) -> bool {
         self.queues.eager_len() < self.cfg.eager_queue_cap
     }
@@ -460,6 +461,7 @@ impl Controller {
     /// completed reads await draining — means the controller must be
     /// ticked at every memory-clock edge. Skipped idle edges must be
     /// replayed with [`fast_forward_idle`](Self::fast_forward_idle).
+    #[inline]
     pub fn next_event(&self) -> Option<SimTime> {
         if !self.read_done.is_empty() {
             return Some(SimTime::ZERO);
@@ -480,6 +482,7 @@ impl Controller {
     }
 
     /// Removes and returns the next completed read's line address.
+    #[inline]
     pub fn pop_read_done(&mut self) -> Option<u64> {
         self.read_done.pop_front()
     }
@@ -495,6 +498,12 @@ impl Controller {
 
     /// Advances the controller to memory-clock edge `now`, skipping
     /// the work of any edge before the next actionable time.
+    ///
+    /// Inlined into the caller: an edge before the next actionable time
+    /// costs one compare and the round-robin rotation, and only an
+    /// actionable edge calls the out-of-line
+    /// [`tick_full`](Self::tick_full).
+    #[inline]
     pub fn tick(&mut self, now: SimTime) {
         if now < self.next_actionable {
             // Nothing can act yet. Keep round-robin fairness identical
