@@ -4,7 +4,7 @@
 //! `all` runs each `(workload, policy)` cell exactly once); analytic
 //! artifacts (Fig. 1, Tables V/VI) compute directly from the models.
 
-use crate::{into_matrix, Cell, MatrixKey, Scale, Sweep, SweepSettings};
+use crate::{Cell, Scale, Sweep, SweepSettings};
 use mellow_core::WritePolicy;
 use mellow_engine::stats::geometric_mean;
 use mellow_memctrl::MemConfig;
@@ -42,7 +42,7 @@ pub fn main_cells() -> Vec<Cell> {
 }
 
 /// Runs the shared policy matrix used by Figs. 3 and 10–17.
-pub fn main_matrix_with(scale: Scale, settings: &SweepSettings) -> Vec<(MatrixKey, Metrics)> {
+pub fn main_matrix_with(scale: Scale, settings: &SweepSettings) -> Vec<Metrics> {
     run_cells(scale, settings, main_cells())
 }
 
@@ -53,28 +53,20 @@ fn matrix_cells(workloads: &[&str], policies: &[WritePolicy]) -> Vec<Cell> {
         .collect()
 }
 
-fn run_cells(
-    scale: Scale,
-    settings: &SweepSettings,
-    cells: Vec<Cell>,
-) -> Vec<(MatrixKey, Metrics)> {
-    into_matrix(
-        settings
-            .apply(Sweep::new(scale).cells(cells))
-            .run()
-            .expect("matrix cells use Table IV names"),
-    )
+fn run_cells(scale: Scale, settings: &SweepSettings, cells: Vec<Cell>) -> Vec<Metrics> {
+    settings
+        .apply(Sweep::new(scale).cells(cells))
+        .run()
+        .expect("matrix cells use Table IV names")
+        .into_iter()
+        .map(|r| r.metrics)
+        .collect()
 }
 
-fn find<'m>(
-    matrix: &'m [(MatrixKey, Metrics)],
-    workload: &str,
-    policy: &str,
-) -> Option<&'m Metrics> {
+fn find<'m>(matrix: &'m [Metrics], workload: &str, policy: &str) -> Option<&'m Metrics> {
     matrix
         .iter()
-        .find(|(k, _)| k.workload == workload && k.policy.to_string() == policy)
-        .map(|(_, m)| m)
+        .find(|m| m.workload == workload && m.policy == policy)
 }
 
 fn header(title: &str, cols: &[&str]) -> String {
@@ -160,13 +152,13 @@ pub fn static_cells() -> Vec<Cell> {
 }
 
 /// Runs the static-latency matrix shared by Figs. 2 and 19.
-pub fn static_matrix_with(scale: Scale, settings: &SweepSettings) -> Vec<(MatrixKey, Metrics)> {
+pub fn static_matrix_with(scale: Scale, settings: &SweepSettings) -> Vec<Metrics> {
     run_cells(scale, settings, static_cells())
 }
 
 /// Fig. 2 — static write latencies (1.0/1.5/2.0/3.0×) with and without
 /// cancellation: normalized IPC and lifetime per workload.
-pub fn fig2(statics: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig2(statics: &[Metrics]) -> String {
     static_report(
         "Fig. 2: static write latencies — IPC (normalized to Norm) and lifetime (years)",
         statics,
@@ -174,7 +166,7 @@ pub fn fig2(statics: &[(MatrixKey, Metrics)]) -> String {
     )
 }
 
-fn static_report(title: &str, matrix: &[(MatrixKey, Metrics)], policies: &[WritePolicy]) -> String {
+fn static_report(title: &str, matrix: &[Metrics], policies: &[WritePolicy]) -> String {
     let names: Vec<String> = policies.iter().map(|p| p.to_string()).collect();
     let cols: Vec<&str> = names.iter().map(String::as_str).collect();
     let mut s = header(&format!("{title} — normalized IPC"), &cols);
@@ -207,7 +199,7 @@ fn static_report(title: &str, matrix: &[(MatrixKey, Metrics)], policies: &[Write
 }
 
 /// Fig. 3 — average bank utilization under normal writes.
-pub fn fig3(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig3(matrix: &[Metrics]) -> String {
     let mut s = String::from("\n=== Fig. 3: average bank utilization, Norm policy ===\n");
     for w in WORKLOADS {
         if let Some(m) = find(matrix, w, "Norm") {
@@ -220,7 +212,7 @@ pub fn fig3(matrix: &[(MatrixKey, Metrics)]) -> String {
 /// The per-workload, per-policy metric table shared by Figs. 10–13.
 fn policy_table<F: Fn(&Metrics, &Metrics) -> f64>(
     title: &str,
-    matrix: &[(MatrixKey, Metrics)],
+    matrix: &[Metrics],
     policies: &[&str],
     metric: F,
 ) -> String {
@@ -262,7 +254,7 @@ pub const PLOT_POLICIES: [&str; 8] = [
 ];
 
 /// Fig. 10 — IPC normalized to `Norm`.
-pub fn fig10(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig10(matrix: &[Metrics]) -> String {
     policy_table(
         "Fig. 10: IPC (normalized to Norm)",
         matrix,
@@ -278,7 +270,7 @@ pub fn fig10(matrix: &[(MatrixKey, Metrics)]) -> String {
 }
 
 /// Fig. 11 — lifetime in years.
-pub fn fig11(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig11(matrix: &[Metrics]) -> String {
     policy_table(
         "Fig. 11: lifetime (years)",
         matrix,
@@ -288,7 +280,7 @@ pub fn fig11(matrix: &[(MatrixKey, Metrics)]) -> String {
 }
 
 /// Fig. 12 — average bank utilization (%).
-pub fn fig12(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig12(matrix: &[Metrics]) -> String {
     policy_table(
         "Fig. 12: average bank utilization (%)",
         matrix,
@@ -298,7 +290,7 @@ pub fn fig12(matrix: &[(MatrixKey, Metrics)]) -> String {
 }
 
 /// Fig. 13 — write-drain time as % of execution.
-pub fn fig13(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig13(matrix: &[Metrics]) -> String {
     policy_table(
         "Fig. 13: write-drain time (% of execution)",
         matrix,
@@ -309,7 +301,7 @@ pub fn fig13(matrix: &[(MatrixKey, Metrics)]) -> String {
 
 /// Fig. 14 — memory requests from the LLC, normalized to `Norm`, broken
 /// into reads / demand writebacks / eager writebacks.
-pub fn fig14(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig14(matrix: &[Metrics]) -> String {
     let mut s =
         String::from("\n=== Fig. 14: memory requests from LLC (normalized to Norm total) ===\n");
     let _ = writeln!(
@@ -342,7 +334,7 @@ pub fn fig14(matrix: &[(MatrixKey, Metrics)]) -> String {
 
 /// Fig. 15 — requests issued to banks (cancel retries included),
 /// normalized to `Norm`.
-pub fn fig15(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig15(matrix: &[Metrics]) -> String {
     policy_table(
         "Fig. 15: requests issued to banks (normalized to Norm)",
         matrix,
@@ -355,7 +347,7 @@ pub fn fig15(matrix: &[(MatrixKey, Metrics)]) -> String {
 }
 
 /// Fig. 16 — main-memory energy (CellC), normalized to `Norm`.
-pub fn fig16(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig16(matrix: &[Metrics]) -> String {
     let model = EnergyModel::fig16_default();
     policy_table(
         "Fig. 16: main-memory energy, CellC (normalized to Norm)",
@@ -389,7 +381,7 @@ pub fn lifetime_under(m: &Metrics, expo: f64, slow_factor: f64) -> f64 {
 /// Fig. 17 — lifetime sensitivity to `Expo_Factor` for `Slow+SC` and
 /// `BE-Mellow+SC` (geomean years over workloads, plus the ratio to
 /// `Norm`).
-pub fn fig17(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig17(matrix: &[Metrics]) -> String {
     let mut s = String::from(
         "\n=== Fig. 17: lifetime sensitivity to Expo_Factor (geomean years; xN = vs Norm) ===\n",
     );
@@ -482,7 +474,7 @@ pub fn fig18(scale: Scale, settings: &SweepSettings) -> String {
 /// Fig. 19 — `BE-Mellow+SC+WQ` against the best static policy per
 /// workload (the static policy with ≥ 8-year lifetime and the best
 /// IPC).
-pub fn fig19(static_matrix: &[(MatrixKey, Metrics)], matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn fig19(static_matrix: &[Metrics], matrix: &[Metrics]) -> String {
     let mut s =
         String::from("\n=== Fig. 19: BE-Mellow+SC+WQ vs best static policy (8-year floor) ===\n");
     let _ = writeln!(
@@ -493,25 +485,24 @@ pub fn fig19(static_matrix: &[(MatrixKey, Metrics)], matrix: &[(MatrixKey, Metri
     let mut wins = 0;
     let mut total = 0;
     for w in WORKLOADS {
-        let mut best: Option<(String, f64)> = None;
-        let consider = |name: String, m: &Metrics, best: &mut Option<(String, f64)>| {
-            if m.lifetime_years >= 8.0 && best.as_ref().is_none_or(|(_, ipc)| m.ipc > *ipc) {
-                *best = Some((name, m.ipc));
-            }
-        };
-        for (k, m) in static_matrix.iter().filter(|(k, _)| k.workload == w) {
-            consider(k.policy.to_string(), m, &mut best);
-        }
-        for p in ["E-Norm+NC", "E-Slow+SC"] {
-            if let Some(m) = find(matrix, w, p) {
-                consider(p.to_owned(), m, &mut best);
+        let dynamic = ["E-Norm+NC", "E-Slow+SC"]
+            .iter()
+            .filter_map(|p| find(matrix, w, p));
+        let candidates = static_matrix
+            .iter()
+            .filter(|m| m.workload == w)
+            .chain(dynamic);
+        let mut best: Option<&Metrics> = None;
+        for m in candidates.filter(|m| m.lifetime_years >= 8.0) {
+            if best.is_none_or(|b| m.ipc > b.ipc) {
+                best = Some(m);
             }
         }
         let Some(mellow) = find(matrix, w, "BE-Mellow+SC+WQ") else {
             continue;
         };
         total += 1;
-        let (bname, bipc) = best.unwrap_or(("none-meets-floor".to_owned(), 0.0));
+        let (bname, bipc) = best.map_or(("none-meets-floor", 0.0), |m| (m.policy.as_str(), m.ipc));
         // "Outperforms or equals": treat a <=2% gap as a bar-chart tie.
         let win = mellow.ipc >= bipc * 0.98;
         wins += win as u32;
@@ -595,7 +586,7 @@ pub fn graded(scale: Scale, settings: &SweepSettings) -> String {
 
 /// Calibration — measured MPKI and IPC under `Norm` vs Table IV targets,
 /// read from the shared matrix's `Norm` column.
-pub fn calibrate(matrix: &[(MatrixKey, Metrics)]) -> String {
+pub fn calibrate(matrix: &[Metrics]) -> String {
     let mut s = String::from("\n=== Calibration: MPKI vs Table IV (Norm policy) ===\n");
     let _ = writeln!(
         s,

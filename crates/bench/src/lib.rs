@@ -28,6 +28,6 @@ mod runner;
 mod store;
 mod sweep;
 
-pub use runner::{try_experiment_for, MatrixKey, Scale};
+pub use runner::{try_experiment_for, Scale};
 pub use store::{CellKey, ResultStore, StoreError};
-pub use sweep::{into_matrix, Cell, CellResult, ConfigEdit, Sweep, SweepError, SweepSettings};
+pub use sweep::{Cell, CellResult, ConfigEdit, Sweep, SweepError, SweepSettings};

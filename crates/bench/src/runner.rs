@@ -76,15 +76,6 @@ pub fn try_experiment_for(
         }))
 }
 
-/// Identifies one cell of a run matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixKey {
-    /// Workload name.
-    pub workload: String,
-    /// Policy (display form is used for report lookups).
-    pub policy: WritePolicy,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@
 //! }
 //! ```
 
-use crate::{try_experiment_for, CellKey, MatrixKey, ResultStore, Scale, StoreError};
+use crate::{try_experiment_for, CellKey, ResultStore, Scale, StoreError};
 use mellow_core::WritePolicy;
 use mellow_sim::{Experiment, Metrics, SystemConfig};
 use mellow_workloads::UnknownWorkload;
@@ -375,23 +375,6 @@ impl fmt::Debug for Sweep {
     }
 }
 
-/// Converts sweep results into the `(MatrixKey, Metrics)` rows the
-/// figure formatters consume, preserving order.
-pub fn into_matrix(results: Vec<CellResult>) -> Vec<(MatrixKey, Metrics)> {
-    results
-        .into_iter()
-        .map(|r| {
-            (
-                MatrixKey {
-                    workload: r.workload,
-                    policy: r.policy,
-                },
-                r.metrics,
-            )
-        })
-        .collect()
-}
-
 fn fmt_duration(d: Duration) -> String {
     let secs = d.as_secs_f64();
     if secs < 60.0 {
@@ -563,18 +546,17 @@ mod tests {
     }
 
     #[test]
-    fn into_matrix_preserves_order() {
+    fn parallel_results_keep_input_order() {
         let results = Sweep::new(tiny())
             .cells(tiny_cells())
             .threads(4)
             .quiet()
             .run()
             .unwrap();
-        let matrix = into_matrix(results);
-        assert_eq!(matrix[0].0.workload, "lbm");
-        assert_eq!(matrix[0].0.policy, WritePolicy::norm());
-        assert_eq!(matrix[3].0.workload, "mcf");
-        assert_eq!(matrix[3].0.policy, WritePolicy::be_mellow_sc());
+        assert_eq!(results[0].workload, "lbm");
+        assert_eq!(results[0].policy, WritePolicy::norm());
+        assert_eq!(results[3].workload, "mcf");
+        assert_eq!(results[3].policy, WritePolicy::be_mellow_sc());
     }
 
     #[test]

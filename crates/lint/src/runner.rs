@@ -11,8 +11,8 @@ use crate::{Rule, Violation};
 
 /// Simulation crates (directory names under `crates/`): the scope of the
 /// clock-domain, determinism and panic-policy rules. `bench` is deliberately
-/// absent — it is the measurement harness, whose wall-clock use (sweep ETA,
-/// criterion timing) is legitimate; its *artifacts* are kept deterministic by
+/// absent — it is the figures harness, whose wall-clock use (the sweep's
+/// progress ETA) is legitimate; its *artifacts* are kept deterministic by
 /// `ResultStore` instead.
 const SIM_CRATES: &[&str] = &[
     "engine",

@@ -36,9 +36,9 @@ pub struct SystemConfig {
     /// on small-capacity configurations.
     pub track_block_wear: bool,
     /// Drive [`System::run_instructions`](crate::System) with the
-    /// one-cycle-at-a-time reference loop instead of the event-queue
-    /// kernel. The reference loop ticks every component in full on
-    /// every cycle, the memory controller included
+    /// one-cycle-at-a-time reference loop instead of the event kernel,
+    /// which jumps over idle cycles. The reference loop ticks every
+    /// component in full on every cycle, the memory controller included
     /// (`Controller::tick_full`, bypassing its next-actionable skip).
     /// The loops produce bit-identical results (the equivalence tests
     /// assert it), so this one switch checks both the kernel's jumps

@@ -9,9 +9,12 @@ use mellow_workloads::{SyntheticWorkload, UnknownWorkload, WorkloadSpec};
 /// window.
 ///
 /// The paper warms for 6 B instructions and measures 2 B; this
-/// reproduction defaults to a scaled 300 k / 1 M window (lifetime and
-/// rate metrics extrapolate from steady-state rates, so the window
-/// length affects noise, not means — the benches use larger windows).
+/// reproduction defaults to a scaled 300 k / 1 M window. Lifetime and
+/// rate metrics extrapolate from the window's rates, so a short window
+/// is noisy, and it biases the lifetime low: the lifetime is a minimum
+/// over banks, and with few writes per bank that minimum reads short.
+/// The `figures` quick scale measures 400 k instructions, shorter than
+/// this default.
 ///
 /// # Examples
 ///

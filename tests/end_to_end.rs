@@ -7,28 +7,14 @@
 //! appears within a test-sized window. The full-size configuration is
 //! exercised by the `figures` bench harness.
 
+mod common;
+
+use common::scaled;
 use mellow_writes::bench::{try_experiment_for, Scale};
 use mellow_writes::core::WritePolicy;
 use mellow_writes::engine::Duration;
 use mellow_writes::sim::{Experiment, Metrics};
 use mellow_writes::workloads::WorkloadSpec;
-
-/// Builds the scaled-down experiment used throughout this file.
-fn scaled(workload: &str, policy: WritePolicy, seed: u64) -> Experiment {
-    let mut spec = WorkloadSpec::by_name(workload).expect("preset exists");
-    spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
-    spec.working_set_bytes = spec.working_set_bytes.min(32 << 20);
-    Experiment::with_spec(spec, policy)
-        .warmup(80_000)
-        .instructions(150_000)
-        .seed(seed)
-        .configure(|c| {
-            c.l1.size_bytes = 4 << 10;
-            c.l2.size_bytes = 16 << 10;
-            c.llc.size_bytes = 64 << 10;
-            c.mem.sample_period = Duration::from_us(10);
-        })
-}
 
 fn run(workload: &str, policy: WritePolicy) -> Metrics {
     scaled(workload, policy, 7).run()

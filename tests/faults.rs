@@ -4,32 +4,13 @@
 //! and endurance exhaustion at many operating points while checking
 //! the fault-accounting invariants.
 
+mod common;
+
+use common::{drive_chaos, near_dead_endurance, scaled};
 use mellow_writes::core::WritePolicy;
-use mellow_writes::engine::{DetRng, Duration, SimTime};
+use mellow_writes::engine::DetRng;
 use mellow_writes::memctrl::{Controller, MemConfig};
-use mellow_writes::nvm::{CancelWear, EnduranceModel, ExpoFactor};
-use mellow_writes::sim::Experiment;
-use mellow_writes::workloads::WorkloadSpec;
-
-const MEM_CYCLE_PS: u64 = 2500;
-
-/// The scaled-down experiment used by the additivity checks (mirrors
-/// `tests/end_to_end.rs`).
-fn scaled(workload: &str, policy: WritePolicy, seed: u64) -> Experiment {
-    let mut spec = WorkloadSpec::by_name(workload).expect("preset exists");
-    spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
-    spec.working_set_bytes = spec.working_set_bytes.min(32 << 20);
-    Experiment::with_spec(spec, policy)
-        .warmup(80_000)
-        .instructions(150_000)
-        .seed(seed)
-        .configure(|c| {
-            c.l1.size_bytes = 4 << 10;
-            c.l2.size_bytes = 16 << 10;
-            c.llc.size_bytes = 64 << 10;
-            c.mem.sample_period = Duration::from_us(10);
-        })
-}
+use mellow_writes::nvm::EnduranceModel;
 
 /// The additivity guarantee, end to end: a controller with the fault
 /// layer disabled (the default) and one with it enabled but every
@@ -85,14 +66,8 @@ impl ChaosCase {
         } else {
             WritePolicy::be_mellow_sc()
         };
-        // Some cases run on a near-dead part (4-write endurance) so
-        // wear crossings, not just injected faults, drive failures.
         let endurance = if knobs.chance(0.25) {
-            EnduranceModel::new(
-                Duration::from_ns(150),
-                4.0,
-                ExpoFactor::new(2.0).expect("2.0 is in [1, 3]"),
-            )
+            near_dead_endurance()
         } else {
             EnduranceModel::reram_default()
         };
@@ -107,35 +82,6 @@ impl ChaosCase {
     /// Runs the case and returns the drained controller plus the debug
     /// fingerprint used by the determinism check.
     fn run(&self) -> (Controller, String) {
-        let eager_ok = self.policy.base.uses_eager();
-        let mut c = Controller::new(
-            self.cfg.clone(),
-            self.policy,
-            self.endurance,
-            CancelWear::Prorated,
-        );
-        let mut stream = DetRng::seed_from(self.seed).derive(0x5_72_EA);
-        let lines = self.cfg.total_lines();
-        // Offer a mixed stream over 4000 cycles, then drain.
-        let mut cyc: u64 = 1;
-        while cyc <= 4_000 {
-            let now = SimTime::from_ps(cyc * MEM_CYCLE_PS);
-            c.tick(now);
-            match stream.below(16) {
-                0..=4 => {
-                    c.try_write(stream.below(lines), now);
-                }
-                5 | 6 => {
-                    c.try_read(stream.below(lines), now);
-                }
-                7 if eager_ok && c.eager_has_room() => {
-                    c.try_eager(stream.below(lines), now);
-                }
-                _ => {}
-            }
-            while c.pop_read_done().is_some() {}
-            cyc += 1;
-        }
         let drained = |c: &Controller| {
             let s = c.stats();
             s.demand_writes_accepted + s.eager_writes_accepted
@@ -143,18 +89,7 @@ impl ChaosCase {
                     + s.writes_completed_slow
                     + c.fault_stats().uncorrectable
         };
-        while !drained(&c) {
-            assert!(
-                cyc < 3_000_000,
-                "seed {}: writes never drained: {:?} {:?}",
-                self.seed,
-                c.stats(),
-                c.fault_stats()
-            );
-            c.tick(SimTime::from_ps(cyc * MEM_CYCLE_PS));
-            while c.pop_read_done().is_some() {}
-            cyc += 1;
-        }
+        let c = drive_chaos(self.seed, &self.cfg, self.policy, self.endurance, drained);
         let fingerprint = format!("{:?} {:?}", c.stats(), c.fault_stats());
         (c, fingerprint)
     }

@@ -5,33 +5,15 @@
 //! WoLFRaM table servicing wear rotation and verify-failure remaps
 //! from one spare pool.
 
+mod common;
+
+use common::{drive_chaos, scaled};
 use mellow_writes::core::WritePolicy;
 use mellow_writes::engine::json::Json;
-use mellow_writes::engine::{DetRng, Duration, SimTime};
+use mellow_writes::engine::DetRng;
 use mellow_writes::memctrl::{Controller, MemConfig};
-use mellow_writes::nvm::{CancelWear, EnduranceModel, LevelerConfig};
-use mellow_writes::sim::Experiment;
+use mellow_writes::nvm::{EnduranceModel, LevelerConfig};
 use mellow_writes::workloads::WorkloadSpec;
-
-const MEM_CYCLE_PS: u64 = 2500;
-
-/// The scaled-down experiment used across the equivalence tests
-/// (mirrors `tests/end_to_end.rs` / `tests/faults.rs`).
-fn scaled(workload: &str, policy: WritePolicy, seed: u64) -> Experiment {
-    let mut spec = WorkloadSpec::by_name(workload).expect("preset exists");
-    spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
-    spec.working_set_bytes = spec.working_set_bytes.min(32 << 20);
-    Experiment::with_spec(spec, policy)
-        .warmup(80_000)
-        .instructions(150_000)
-        .seed(seed)
-        .configure(|c| {
-            c.l1.size_bytes = 4 << 10;
-            c.l2.size_bytes = 16 << 10;
-            c.llc.size_bytes = 64 << 10;
-            c.mem.sample_period = Duration::from_us(10);
-        })
-}
 
 /// FNV-1a over a metrics row's serialized JSON.
 fn fnv1a(text: &str) -> u64 {
@@ -209,34 +191,6 @@ impl WolframCase {
     }
 
     fn run(&self) -> Controller {
-        let eager_ok = self.policy.base.uses_eager();
-        let mut c = Controller::new(
-            self.cfg.clone(),
-            self.policy,
-            EnduranceModel::reram_default(),
-            CancelWear::Prorated,
-        );
-        let mut stream = DetRng::seed_from(self.seed).derive(0x5_72_EA);
-        let lines = self.cfg.total_lines();
-        let mut cyc: u64 = 1;
-        while cyc <= 4_000 {
-            let now = SimTime::from_ps(cyc * MEM_CYCLE_PS);
-            c.tick(now);
-            match stream.below(16) {
-                0..=4 => {
-                    c.try_write(stream.below(lines), now);
-                }
-                5 | 6 => {
-                    c.try_read(stream.below(lines), now);
-                }
-                7 if eager_ok && c.eager_has_room() => {
-                    c.try_eager(stream.below(lines), now);
-                }
-                _ => {}
-            }
-            while c.pop_read_done().is_some() {}
-            cyc += 1;
-        }
         let drained = |c: &Controller| {
             let s = c.stats();
             s.demand_writes_accepted + s.eager_writes_accepted
@@ -244,19 +198,13 @@ impl WolframCase {
                     + s.writes_completed_slow
                     + c.fault_stats().uncorrectable
         };
-        while !drained(&c) {
-            assert!(
-                cyc < 3_000_000,
-                "seed {}: writes never drained: {:?} {:?}",
-                self.seed,
-                c.stats(),
-                c.fault_stats()
-            );
-            c.tick(SimTime::from_ps(cyc * MEM_CYCLE_PS));
-            while c.pop_read_done().is_some() {}
-            cyc += 1;
-        }
-        c
+        drive_chaos(
+            self.seed,
+            &self.cfg,
+            self.policy,
+            EnduranceModel::reram_default(),
+            drained,
+        )
     }
 
     fn audit(&self, c: &Controller) {
