@@ -9,7 +9,7 @@ use mellow_core::WritePolicy;
 use mellow_engine::stats::geometric_mean;
 use mellow_memctrl::MemConfig;
 use mellow_nvm::energy::{CellKind, EnergyModel};
-use mellow_nvm::{EnduranceModel, ExpoFactor, LevelerConfig, SECONDS_PER_YEAR};
+use mellow_nvm::{EnduranceModel, ExpoFactor, LevelerConfig, LifetimeModel, SECONDS_PER_YEAR};
 use mellow_sim::Metrics;
 use std::fmt::Write as _;
 
@@ -364,7 +364,12 @@ pub fn fig16(matrix: &[Metrics]) -> String {
 /// (valid for non-WQ policies; see `BankWear::wear_under`).
 pub fn lifetime_under(m: &Metrics, expo: f64, slow_factor: f64) -> f64 {
     let cfg = MemConfig::paper_default();
-    let budget = cfg.leveling_efficiency * cfg.blocks_per_bank() as f64 * 5e6;
+    let budget = LifetimeModel::new(
+        EnduranceModel::reram_default().base_endurance(),
+        cfg.blocks_per_bank(),
+        cfg.leveling_efficiency,
+    )
+    .bank_wear_budget();
     m.bank_wear
         .iter()
         .map(|b| {
@@ -899,7 +904,6 @@ pub fn leveling(scale: Scale, settings: &SweepSettings) -> String {
 /// scrubber (demand-read detection only), isolating its contribution.
 pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
     use mellow_engine::Duration;
-    use mellow_nvm::SaturatingMerge;
 
     const WORKLOAD: &str = "gups";
     /// Base retention in microseconds: smaller = faster drift.
@@ -962,8 +966,11 @@ pub fn retention(scale: Scale, settings: &SweepSettings) -> String {
         let m = &r.metrics;
         let ret = &m.retention;
         let sc = &m.scrub;
-        ret_total.saturating_merge(ret);
-        scrub_total.saturating_merge(sc);
+        ret_total.demand_verify_failures += ret.demand_verify_failures;
+        ret_total.repairs += ret.repairs;
+        ret_total.retention_uncorrectable += ret.retention_uncorrectable;
+        scrub_total.scrub_reads += sc.scrub_reads;
+        scrub_total.scrub_rewrites += sc.scrub_rewrites;
         let _ = writeln!(
             s,
             "base {base_us:>3}us scrub {scrub_ns:>5}ns {pname:<12} {:>7} {:>9} {:>8} {:>7} {:>8} {:>8} {:>7.2}% {:>9.1}%",

@@ -107,12 +107,6 @@ impl fmt::Debug for Cell {
 /// One finished cell of a sweep, in the order the cells were added.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// Workload name.
-    pub workload: String,
-    /// Policy run.
-    pub policy: WritePolicy,
-    /// The store key this cell hashed to.
-    pub key: CellKey,
     /// Whether the row came from the store instead of a simulation.
     pub cached: bool,
     /// The measured row.
@@ -247,9 +241,6 @@ impl Sweep {
             match store.as_ref().and_then(|s| s.get(&key)) {
                 Some(metrics) => {
                     results[slot] = Some(CellResult {
-                        workload: cell.workload.clone(),
-                        policy: cell.policy,
-                        key,
                         cached: true,
                         metrics: metrics.clone(),
                     });
@@ -312,12 +303,7 @@ impl Sweep {
                             fmt_duration(eta),
                         );
                     }
-                    let job = &jobs[i];
-                    let cell = &self.cells[job.slot];
-                    results[job.slot] = Some(CellResult {
-                        workload: cell.workload.clone(),
-                        policy: cell.policy,
-                        key: job.key,
+                    results[jobs[i].slot] = Some(CellResult {
                         cached: false,
                         metrics,
                     });
@@ -450,9 +436,8 @@ mod tests {
         assert_eq!(seq.len(), 4);
         assert_eq!(par.len(), seq.len());
         for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.workload, p.workload);
-            assert_eq!(s.policy, p.policy);
-            assert_eq!(s.key, p.key);
+            assert_eq!(s.metrics.workload, p.metrics.workload);
+            assert_eq!(s.metrics.policy, p.metrics.policy);
             assert_eq!(s.metrics.ipc.to_bits(), p.metrics.ipc.to_bits());
             assert_eq!(
                 s.metrics.total_wear.to_bits(),
@@ -481,7 +466,6 @@ mod tests {
             .unwrap();
         assert!(warm.iter().all(|r| r.cached));
         for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.key, w.key);
             assert_eq!(c.metrics.ipc.to_bits(), w.metrics.ipc.to_bits());
             assert_eq!(c.metrics.ctrl, w.metrics.ctrl);
         }
@@ -523,7 +507,6 @@ mod tests {
         assert_eq!(resumed.iter().filter(|r| r.cached).count(), 2);
         assert_eq!(resumed.iter().filter(|r| !r.cached).count(), 2);
         for (a, b) in reference.iter().zip(&resumed) {
-            assert_eq!(a.key, b.key);
             assert_eq!(a.metrics.ipc.to_bits(), b.metrics.ipc.to_bits());
             assert_eq!(
                 a.metrics.total_wear.to_bits(),
@@ -553,10 +536,13 @@ mod tests {
             .quiet()
             .run()
             .unwrap();
-        assert_eq!(results[0].workload, "lbm");
-        assert_eq!(results[0].policy, WritePolicy::norm());
-        assert_eq!(results[3].workload, "mcf");
-        assert_eq!(results[3].policy, WritePolicy::be_mellow_sc());
+        assert_eq!(results[0].metrics.workload, "lbm");
+        assert_eq!(results[0].metrics.policy, WritePolicy::norm().to_string());
+        assert_eq!(results[3].metrics.workload, "mcf");
+        assert_eq!(
+            results[3].metrics.policy,
+            WritePolicy::be_mellow_sc().to_string()
+        );
     }
 
     #[test]

@@ -153,23 +153,6 @@ mellow_engine::impl_json_fields!(CacheStats {
     input_rejects,
 });
 
-impl CacheStats {
-    /// Demand accesses processed (hits + misses).
-    pub fn demand_accesses(&self) -> u64 {
-        self.demand_hits + self.demand_misses
-    }
-
-    /// Miss ratio over demand accesses, or 0.0 with none.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.demand_accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.demand_misses as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Incoming {
     Demand {
@@ -992,15 +975,6 @@ mod tests {
         assert!(c.line_state(0).is_none(), "line 0 evicted");
         assert_eq!(c.stats().eager_saved_writebacks, 1);
         assert!(c.peek_writeback_down().is_none(), "no WB for clean line");
-    }
-
-    #[test]
-    fn miss_ratio_helper() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
-        s.demand_hits = 3;
-        s.demand_misses = 1;
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

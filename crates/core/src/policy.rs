@@ -229,14 +229,6 @@ impl WritePolicy {
         self
     }
 
-    /// Returns the latency factor of writes at `speed` under this policy.
-    pub fn latency_factor(&self, speed: WriteSpeed) -> f64 {
-        match speed {
-            WriteSpeed::Normal => 1.0,
-            WriteSpeed::Slow => self.slow_factor,
-        }
-    }
-
     /// Returns the latency factor for a slow write given the write
     /// queue's occupancy in `[0, 1]` (+GR extension).
     ///
@@ -422,15 +414,6 @@ mod tests {
         let q = WritePolicy::e_norm_nc();
         assert!(q.cancellable(WriteSpeed::Normal));
         assert!(!q.cancellable(WriteSpeed::Slow));
-    }
-
-    #[test]
-    fn latency_factors() {
-        let p = WritePolicy::be_mellow_sc();
-        assert_eq!(p.latency_factor(WriteSpeed::Normal), 1.0);
-        assert_eq!(p.latency_factor(WriteSpeed::Slow), 3.0);
-        let q = p.with_slow_factor(1.5);
-        assert_eq!(q.latency_factor(WriteSpeed::Slow), 1.5);
     }
 
     #[test]

@@ -25,18 +25,6 @@ pub struct Clock {
 }
 
 impl Clock {
-    /// Creates a clock with the given period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn from_period(period: Duration) -> Self {
-        assert!(period.as_ps() > 0, "clock period must be non-zero");
-        Clock {
-            period_ps: period.as_ps(),
-        }
-    }
-
     /// Creates a clock running at `mhz` megahertz.
     ///
     /// # Panics
@@ -69,12 +57,6 @@ impl Clock {
         Duration::from_ps(self.period_ps)
     }
 
-    /// Returns the frequency in hertz.
-    #[inline]
-    pub fn freq_hz(&self) -> f64 {
-        1e12 / self.period_ps as f64
-    }
-
     /// Returns the span occupied by `cycles` clock cycles.
     #[inline]
     pub fn cycles_to_duration(&self, cycles: u64) -> Duration {
@@ -91,21 +73,6 @@ impl Clock {
     #[inline]
     pub fn cycle_at(&self, time: SimTime) -> u64 {
         time.as_ps() / self.period_ps
-    }
-
-    /// Returns the number of whole cycles contained in `span`.
-    #[inline]
-    pub fn cycles_in(&self, span: Duration) -> u64 {
-        span.as_ps() / self.period_ps
-    }
-
-    /// Returns the smallest number of whole cycles covering `span`.
-    ///
-    /// Timing parameters specified in nanoseconds (e.g. tFAW = 50 ns on a
-    /// 2.5 ns memory clock) are conservatively rounded up to clock edges.
-    #[inline]
-    pub fn cycles_covering(&self, span: Duration) -> u64 {
-        span.as_ps().div_ceil(self.period_ps)
     }
 }
 
@@ -134,28 +101,8 @@ mod tests {
     }
 
     #[test]
-    fn covering_rounds_up() {
-        let mem = Clock::from_mhz(400);
-        assert_eq!(mem.cycles_covering(Duration::from_ns(50)), 20);
-        assert_eq!(mem.cycles_covering(Duration::from_ps(2501)), 2);
-        assert_eq!(mem.cycles_in(Duration::from_ps(2501)), 1);
-    }
-
-    #[test]
-    fn freq_round_trip() {
-        assert!((Clock::from_mhz(400).freq_hz() - 4e8).abs() < 1.0);
-        assert!((Clock::from_ghz(2).freq_hz() - 2e9).abs() < 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "non-integral")]
     fn rejects_awkward_frequency() {
         let _ = Clock::from_mhz(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn rejects_zero_period() {
-        let _ = Clock::from_period(Duration::ZERO);
     }
 }

@@ -51,11 +51,6 @@ impl BusyTracker {
         }
     }
 
-    /// Returns `true` while in the busy state.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
     /// Returns the total busy time up to `now`, including any open interval.
     pub fn busy_time(&self, now: SimTime) -> Duration {
         match self.busy_since {
@@ -191,7 +186,6 @@ mod tests {
     fn busy_tracker_open_interval_counts() {
         let mut t = BusyTracker::new();
         t.set_busy(SimTime::from_ns(5));
-        assert!(t.is_busy());
         assert_eq!(t.busy_time(SimTime::from_ns(15)), Duration::from_ns(10));
     }
 

@@ -91,17 +91,13 @@ impl<T> TimerQueue<T> {
         self.heap.peek().map(|e| e.due)
     }
 
-    /// Returns the earliest pending entry without removing it.
-    pub fn peek(&self) -> Option<(SimTime, &T)> {
-        self.heap.peek().map(|e| (e.due, &e.payload))
-    }
-
     /// Removes and returns the earliest pending entry regardless of the
     /// current time, or `None` when the queue is empty.
     ///
-    /// The event kernel uses this to pop the next *horizon* — a future
-    /// instant at which some component next has work — where `pop_due`'s
-    /// at-or-before-`now` gate would be meaningless.
+    /// [`HorizonQueue::pop_earliest`](crate::HorizonQueue::pop_earliest)
+    /// uses this to pop the next *horizon* — a future instant at which
+    /// some source next has work — where `pop_due`'s at-or-before-`now`
+    /// gate would be meaningless.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|e| (e.due, e.payload))
     }
@@ -121,11 +117,6 @@ impl<T> TimerQueue<T> {
     /// not change.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         self.heap.retain(|e| keep(&e.payload));
-    }
-
-    /// Removes all pending entries.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -179,14 +170,5 @@ mod tests {
         q.schedule(SimTime::from_ns(7), ());
         q.schedule(SimTime::from_ns(3), ());
         assert_eq!(q.next_due(), Some(SimTime::from_ns(3)));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = TimerQueue::new();
-        q.schedule(SimTime::from_ns(1), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.next_due(), None);
     }
 }

@@ -19,13 +19,14 @@
 //! Rule numbers are stable: L5 and L7 are retired and not reused.
 //!
 //! The rules are trait objects in a [`rules::registry`] sharing one lexing
-//! pass per file. Violations are diffed against a committed [`baseline`]
-//! (`lint-baseline.toml`); only *new* violations — or stale baseline
-//! entries — fail the build, so the baseline can only shrink over time.
+//! pass per file. Any violation fails the build; the one escape hatch is
+//! an inline `// mellow-lint: allow(<rule>) -- reason` waiver on a
+//! deliberate, permanent site.
 //!
 //! Run it with `cargo run -p mellow-lint` from anywhere in the workspace.
+//! It exits 0 when no rule fires, 1 on any violation, and 2 on a usage
+//! or I/O error.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 pub mod runner;
@@ -48,7 +49,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The stable name used in diagnostics, baselines and allow-comments.
+    /// The stable name used in diagnostics and allow-comments.
     pub fn name(self) -> &'static str {
         match self {
             Rule::ClockDomain => "clock-domain",
@@ -57,11 +58,6 @@ impl Rule {
             Rule::StatsExhaustiveness => "stats-exhaustiveness",
             Rule::RngDiscipline => "rng-discipline",
         }
-    }
-
-    /// Inverse of [`Rule::name`].
-    pub fn from_name(name: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.name() == name)
     }
 
     /// All rules, for iteration in reports.

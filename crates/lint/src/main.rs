@@ -1,11 +1,10 @@
-//! CLI for the workspace lint. Exit codes: 0 clean, 1 violations (new or
-//! stale baseline entries), 2 usage or I/O error.
+//! CLI for the workspace lint. Exit codes: 0 clean, 1 violations, 2
+//! usage or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mellow_lint::baseline::Baseline;
-use mellow_lint::runner;
+use mellow_lint::{runner, Violation};
 
 const USAGE: &str = "\
 mellow-lint — workspace static-analysis pass
@@ -15,12 +14,11 @@ USAGE:
 
 OPTIONS:
     --root <DIR>        Workspace root (default: auto-detected)
-    --baseline <FILE>   Baseline path (default: <root>/lint-baseline.toml)
-    --write-baseline    Rewrite the baseline to cover current violations
-    --list              Print every violation, including baselined ones
     --format <FMT>      Output format: text (default) or github
                         (GitHub Actions `::error` annotations)
     -h, --help          Show this help
+
+Exits 0 when no rule fires, 1 on any violation, 2 on a usage or I/O error.
 ";
 
 /// How violations are rendered on stdout.
@@ -29,8 +27,7 @@ enum Format {
     /// Human-readable lines plus a summary (the default).
     Text,
     /// GitHub Actions workflow commands: one `::error` annotation per
-    /// fresh violation or stale baseline entry, so CI failures land as
-    /// inline PR annotations.
+    /// violation, so CI failures land as inline pull-request annotations.
     Github,
 }
 
@@ -53,9 +50,6 @@ fn find_root(start: &Path) -> PathBuf {
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
-    let mut list = false;
     let mut format = Format::Text;
 
     let mut args = std::env::args().skip(1);
@@ -68,15 +62,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--baseline requires a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => write_baseline = true,
-            "--list" => list = true,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("github") => format = Format::Github,
@@ -102,9 +87,8 @@ fn main() -> ExitCode {
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let root = root.unwrap_or_else(|| find_root(&cwd));
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.toml"));
 
-    let all = match runner::collect_violations(&root) {
+    let violations = match runner::collect_violations(&root) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("mellow-lint: failed to scan {}: {e}", root.display());
@@ -112,72 +96,32 @@ fn main() -> ExitCode {
         }
     };
 
-    if write_baseline {
-        let text = runner::baseline_for(&all).render();
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("mellow-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "mellow-lint: wrote baseline with {} entr{} to {}",
-            all.len(),
-            if all.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mellow-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = runner::diff(all, &baseline);
-
     match format {
-        Format::Text => print_text(&report, list),
-        Format::Github => print_github(&report),
+        Format::Text => print_text(&violations),
+        Format::Github => print_github(&violations),
     }
 
-    if report.is_clean() {
+    if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     }
 }
 
-/// The default human-readable report: each fresh violation (plus every
-/// baselined one under `--list`), stale baseline entries, and a
-/// per-rule summary line.
-fn print_text(report: &runner::Report, list: bool) {
-    if list {
-        for v in &report.all {
-            println!("{v}");
-        }
-    }
-    for v in &report.fresh {
+/// The default human-readable report: each violation, then a per-rule
+/// summary line.
+fn print_text(violations: &[Violation]) {
+    for v in violations {
         println!("{v}");
     }
-    for e in &report.stale {
-        println!(
-            "{}:{}: [baseline] stale entry for rule `{}` — violation no longer fires, remove it",
-            e.file, e.line, e.rule
-        );
-    }
-
-    let summary: Vec<String> = runner::counts(&report.all)
+    let summary: Vec<String> = runner::counts(violations)
         .iter()
         .map(|(r, n)| format!("{r}: {n}"))
         .collect();
     println!(
-        "mellow-lint: {} file-scoped violation(s) ({}); {} new, {} stale baseline entr{}",
-        report.all.len(),
+        "mellow-lint: {} file-scoped violation(s) ({})",
+        violations.len(),
         summary.join(", "),
-        report.fresh.len(),
-        report.stale.len(),
-        if report.stale.len() == 1 { "y" } else { "ies" },
     );
 }
 
@@ -197,26 +141,16 @@ fn github_escape_prop(s: &str) -> String {
         .replace(':', "%3A")
 }
 
-/// GitHub Actions annotations: one `::error` per fresh violation and
-/// per stale baseline entry, so a failing CI lint step surfaces inline
-/// on the PR diff. Baselined violations are intentionally silent.
-fn print_github(report: &runner::Report) {
-    for v in &report.fresh {
+/// GitHub Actions annotations: one `::error` per violation, so a
+/// failing CI lint step surfaces inline on the pull-request diff.
+fn print_github(violations: &[Violation]) {
+    for v in violations {
         println!(
             "::error file={},line={},title=mellow-lint {}::{}",
             github_escape_prop(&v.file),
             v.line,
             github_escape_prop(v.rule.name()),
             github_escape_data(&v.message)
-        );
-    }
-    for e in &report.stale {
-        println!(
-            "::error file={},line={},title=mellow-lint baseline::stale entry for rule `{}` — \
-             violation no longer fires, remove it from lint-baseline.toml",
-            github_escape_prop(&e.file),
-            e.line,
-            github_escape_data(&e.rule)
         );
     }
 }

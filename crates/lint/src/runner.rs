@@ -1,10 +1,9 @@
-//! Workspace walking, rule scoping and baseline diffing.
+//! Workspace walking and rule scoping.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Baseline, Entry};
 use crate::lexer;
 use crate::rules;
 use crate::{Rule, Violation};
@@ -154,69 +153,6 @@ pub fn collect_violations(root: &Path) -> io::Result<Vec<Violation>> {
     violations.sort();
     violations.dedup();
     Ok(violations)
-}
-
-/// The outcome of a lint run diffed against the baseline.
-#[derive(Debug)]
-pub struct Report {
-    /// Every violation currently present (baselined or not), sorted.
-    pub all: Vec<Violation>,
-    /// Violations not covered by the baseline — these fail the build.
-    pub fresh: Vec<Violation>,
-    /// Baseline entries that no longer match anything — these also fail, so
-    /// the baseline cannot rot.
-    pub stale: Vec<Entry>,
-}
-
-impl Report {
-    pub fn is_clean(&self) -> bool {
-        self.fresh.is_empty() && self.stale.is_empty()
-    }
-}
-
-/// Diffs current violations against the baseline. A baseline entry covers
-/// any violation with the same `(rule, file, line)`; unknown rule names in
-/// the baseline are treated as stale.
-pub fn diff(all: Vec<Violation>, baseline: &Baseline) -> Report {
-    let covered = |v: &Violation| {
-        baseline
-            .entries
-            .iter()
-            .any(|e| e.rule == v.rule.name() && e.file == v.file && e.line == v.line)
-    };
-    let fresh: Vec<Violation> = all.iter().filter(|v| !covered(v)).cloned().collect();
-    let stale: Vec<Entry> = baseline
-        .entries
-        .iter()
-        .filter(|e| {
-            !all.iter()
-                .any(|v| e.rule == v.rule.name() && e.file == v.file && e.line == v.line)
-        })
-        .cloned()
-        .collect();
-    Report { all, fresh, stale }
-}
-
-/// Convenience: collect + diff in one call.
-pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
-    Ok(diff(collect_violations(root)?, baseline))
-}
-
-/// Renders a baseline that covers exactly the given violations (used by
-/// `--write-baseline`).
-pub fn baseline_for(violations: &[Violation]) -> Baseline {
-    let mut entries: Vec<Entry> = violations
-        .iter()
-        .map(|v| Entry {
-            rule: v.rule.name().to_string(),
-            file: v.file.clone(),
-            line: v.line,
-            note: String::new(),
-        })
-        .collect();
-    entries.sort();
-    entries.dedup();
-    Baseline { entries }
 }
 
 /// Per-rule counts for the summary line, in [`Rule::ALL`] order.

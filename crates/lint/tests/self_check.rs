@@ -1,12 +1,10 @@
 //! The lint's own acceptance test: running the analyzer over this very
-//! workspace must agree exactly with the committed `lint-baseline.toml` —
-//! no new violations, and no stale baseline entries. This is the same
-//! check CI runs via `cargo run -p mellow-lint`, kept here so plain
-//! `cargo test` catches regressions too.
+//! workspace must find no violations. This is the same check CI runs via
+//! `cargo run -p mellow-lint`, kept here so plain `cargo test` catches
+//! regressions too.
 
 use std::path::PathBuf;
 
-use mellow_lint::baseline::Baseline;
 use mellow_lint::runner;
 
 fn workspace_root() -> PathBuf {
@@ -14,41 +12,15 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_matches_committed_baseline_exactly() {
-    let root = workspace_root();
-    let baseline = Baseline::load(&root.join("lint-baseline.toml")).expect("baseline parses");
-    let report = runner::run(&root, &baseline).expect("workspace scan succeeds");
-
-    let fresh: Vec<String> = report.fresh.iter().map(|v| v.to_string()).collect();
-    let stale: Vec<String> = report
-        .stale
-        .iter()
-        .map(|e| format!("{}:{}: stale [{}]", e.file, e.line, e.rule))
-        .collect();
+fn workspace_has_no_violations() {
+    let violations =
+        runner::collect_violations(&workspace_root()).expect("workspace scan succeeds");
+    let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     assert!(
-        report.is_clean(),
-        "lint disagrees with baseline.\nnew violations:\n  {}\nstale entries:\n  {}",
-        fresh.join("\n  "),
-        stale.join("\n  "),
+        violations.is_empty(),
+        "lint violations:\n  {}",
+        lines.join("\n  "),
     );
-}
-
-#[test]
-fn clock_domain_and_determinism_baselines_are_burned_to_zero() {
-    // The acceptance bar for the analysis layer: L1/L2 debts are not merely
-    // baselined, they are gone. (L3/L4 share the same state today, but only
-    // L1/L2 are contractually pinned to zero.)
-    let root = workspace_root();
-    let baseline = Baseline::load(&root.join("lint-baseline.toml")).expect("baseline parses");
-    for entry in &baseline.entries {
-        assert!(
-            entry.rule != "clock-domain" && entry.rule != "determinism",
-            "L1/L2 must have an empty baseline, found {}:{} [{}]",
-            entry.file,
-            entry.line,
-            entry.rule,
-        );
-    }
 }
 
 #[test]

@@ -56,9 +56,8 @@ pub struct MemConfig {
     /// steady read stream).
     pub max_cancels: u32,
     /// Wear-leveling scheme and its knobs (gap/rotation interval,
-    /// spare-pool size). Replaces the old `startgap_interval` and
-    /// `spares_per_bank` scalars; the default is Start-Gap at the
-    /// paper's Ψ = 100 with 8 spares per bank, exactly as before.
+    /// spare-pool size); the default is Start-Gap at the paper's
+    /// Ψ = 100 with 8 spares per bank.
     pub leveler: LevelerConfig,
     /// Wear-leveling efficiency η used for lifetime projection.
     pub leveling_efficiency: f64,
@@ -166,14 +165,13 @@ impl MemConfig {
     }
 
     /// Spare blocks per bank backing the verify/retry/remap path,
-    /// whichever layer owns the pool (back-compat accessor for the old
-    /// `spares_per_bank` field).
+    /// whichever layer owns the pool (the leveler or the fault layer).
     pub fn spares_per_bank(&self) -> u64 {
         self.leveler.spares_per_bank()
     }
 
-    /// Resizes the per-bank spare pool, keeping the leveling scheme
-    /// (back-compat setter for the old `spares_per_bank` field).
+    /// Resizes the per-bank spare pool under whichever leveling scheme
+    /// is configured, keeping its interval.
     pub fn set_spares_per_bank(&mut self, spares: u64) {
         self.leveler.set_spares_per_bank(spares);
     }

@@ -1106,12 +1106,6 @@ impl Controller {
         self.leveler.stats().since(&self.leveler_base)
     }
 
-    /// The active leveler, for state inspection
-    /// ([`WearLeveler::state_json`]) and per-bank stats.
-    pub fn leveler(&self) -> &dyn WearLeveler {
-        &*self.leveler
-    }
-
     /// Fraction of physical blocks still usable: 1.0 until spare
     /// exhaustion starts declaring blocks lost.
     pub fn usable_capacity_fraction(&self) -> f64 {

@@ -106,20 +106,6 @@ mellow_engine::impl_json_fields!(ScrubStats {
     scrub_bank_conflicts,
 });
 
-// The one shared fold for the reliability counter blocks: saturating
-// adds for monotone counters, minimum for the shrinking spare-pool
-// gauge (see `mellow_nvm::SaturatingMerge`).
-mellow_nvm::impl_saturating_merge!(FaultStats {
-    counters: [verify_failures, retries, remaps, uncorrectable],
-    gauges_min: [spares_remaining],
-});
-mellow_nvm::impl_saturating_merge!(RetentionStats {
-    counters: [demand_verify_failures, repairs, retention_uncorrectable],
-});
-mellow_nvm::impl_saturating_merge!(ScrubStats {
-    counters: [scrub_reads, scrub_rewrites, scrub_bank_conflicts],
-});
-
 /// Base wait of a verify-failed repair rewrite before it re-enters the
 /// write queue, doubling per consumed retry: the data is safe in the
 /// controller, and spacing the attempts across memory-clock edges keeps

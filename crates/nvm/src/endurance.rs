@@ -191,15 +191,6 @@ impl EnduranceModel {
         assert!(factor >= 1.0, "latency factor must be >= 1.0, got {factor}");
         factor.powf(-self.expo_factor.get())
     }
-
-    /// Generates the latency-vs-endurance curve of Fig. 1: endurance at
-    /// each latency factor in `factors`.
-    pub fn endurance_curve(&self, factors: &[f64]) -> Vec<(f64, f64)> {
-        factors
-            .iter()
-            .map(|&f| (f, self.endurance_at_factor(f)))
-            .collect()
-    }
 }
 
 impl Default for EnduranceModel {
@@ -273,17 +264,17 @@ mod tests {
     #[test]
     fn fig1_curve_is_monotone_in_factor_and_expo() {
         let factors: Vec<f64> = (10..=30).map(|i| i as f64 / 10.0).collect();
-        let mut prev_curve: Option<Vec<(f64, f64)>> = None;
+        let mut prev_curve: Option<Vec<f64>> = None;
         for expo in ExpoFactor::SENSITIVITY_SWEEP {
             let m = EnduranceModel::reram_default().with_expo_factor(expo);
-            let curve = m.endurance_curve(&factors);
+            let curve: Vec<f64> = factors.iter().map(|&f| m.endurance_at_factor(f)).collect();
             for w in curve.windows(2) {
-                assert!(w[1].1 > w[0].1, "endurance must rise with latency");
+                assert!(w[1] > w[0], "endurance must rise with latency");
             }
             if let Some(prev) = &prev_curve {
                 // At any factor > 1, a larger exponent gives more endurance.
                 for (lo, hi) in prev.iter().zip(&curve).skip(1) {
-                    assert!(hi.1 > lo.1);
+                    assert!(hi > lo);
                 }
             }
             prev_curve = Some(curve);

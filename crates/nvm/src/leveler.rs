@@ -22,20 +22,18 @@
 //!   physical page.
 //!
 //! All three keep per-bank overhead/migration counters
-//! ([`LevelerStats`]) and serialize their registers to JSON for
-//! inspection ([`WearLeveler::state_json`]).
+//! ([`LevelerStats`]).
 
 use crate::StartGap;
-use mellow_engine::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which wear-leveling scheme a memory controller runs, plus its knobs.
 ///
-/// Carried by `MemConfig::leveler`; the old `startgap_interval` and
-/// `spares_per_bank` scalars folded into the [`StartGap`](Self::StartGap)
-/// variant, which stays the default with the paper's values (Ψ = 100,
-/// 8 spares per bank).
+/// Carried by `MemConfig::leveler`. Every variant sizes its spare pool
+/// with a `spares_per_bank` field; the default is the
+/// [`StartGap`](Self::StartGap) variant with the paper's values
+/// (Ψ = 100, 8 spares per bank).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LevelerConfig {
     /// Start-Gap registers (Qureshi et al., MICRO'09): one gap slot per
@@ -350,9 +348,6 @@ pub trait WearLeveler: fmt::Debug + Send {
             acc.add(&self.bank_stats(b))
         })
     }
-
-    /// The scheme's registers and tables, serialized for inspection.
-    fn state_json(&self) -> Json;
 }
 
 // ---------------------------------------------------------------------
@@ -436,22 +431,6 @@ impl WearLeveler for StartGapLeveler {
             migrations: self.banks[bank].overhead_writes(),
             fault_remaps: 0,
         }
-    }
-
-    fn state_json(&self) -> Json {
-        Json::Arr(
-            self.banks
-                .iter()
-                .map(|sg| {
-                    let (start, gap) = sg.registers();
-                    Json::obj([
-                        ("start", Json::from(start)),
-                        ("gap", Json::from(gap)),
-                        ("overhead_writes", Json::from(sg.overhead_writes())),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -646,30 +625,6 @@ impl WearLeveler for WolframLeveler {
             migrations: b.migrations,
             fault_remaps: b.fault_remaps,
         }
-    }
-
-    fn state_json(&self) -> Json {
-        Json::Arr(
-            self.banks
-                .iter()
-                .map(|b| {
-                    Json::obj([
-                        ("cursor", Json::from(b.cursor)),
-                        ("since_rotate", Json::from(b.since_rotate as u64)),
-                        ("spares_used", Json::from(b.spares_used)),
-                        (
-                            "table",
-                            Json::Arr(
-                                b.table
-                                    .iter()
-                                    .map(|(&l, &p)| Json::Arr(vec![Json::from(l), Json::from(p)]))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -876,29 +831,6 @@ impl WearLeveler for SoftWearLeveler {
             migrations: b.migrations,
             fault_remaps: 0,
         }
-    }
-
-    fn state_json(&self) -> Json {
-        Json::Arr(
-            self.banks
-                .iter()
-                .map(|b| {
-                    Json::obj([
-                        ("cold_cursor", Json::from(b.cold_cursor)),
-                        ("since_epoch", Json::from(b.since_epoch)),
-                        (
-                            "pages",
-                            Json::Arr(
-                                b.pages
-                                    .iter()
-                                    .map(|(&l, &p)| Json::Arr(vec![Json::from(l), Json::from(p)]))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -1112,23 +1044,6 @@ mod tests {
             assert_eq!(lv.logical_blocks_per_bank(), 64);
         }
         assert_eq!(LevelerConfig::default(), LevelerConfig::start_gap(100, 8));
-    }
-
-    #[test]
-    fn state_json_serializes() {
-        for mut lv in all_levelers() {
-            let mut moved = Vec::new();
-            for i in 0..40 {
-                lv.note_write(0, i % BLOCKS, &mut moved);
-                moved.clear();
-            }
-            let text = lv.state_json().to_string();
-            assert!(
-                mellow_engine::json::Json::parse(&text).is_ok(),
-                "{}: {text}",
-                lv.name()
-            );
-        }
     }
 
     #[test]

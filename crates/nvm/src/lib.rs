@@ -53,7 +53,6 @@ pub mod energy;
 pub mod fault;
 pub mod leveler;
 mod lifetime;
-mod merge;
 pub mod retention;
 mod startgap;
 mod wear;
@@ -65,7 +64,6 @@ pub use leveler::{
     WolframLeveler,
 };
 pub use lifetime::{LifetimeModel, LifetimeProjection, SECONDS_PER_YEAR};
-pub use merge::SaturatingMerge;
 pub use retention::{ReadVerify, RetentionConfig, RetentionState};
 pub use startgap::StartGap;
 pub use wear::{BankWear, BlockWearTable, CancelWear, WearLedger};

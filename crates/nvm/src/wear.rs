@@ -97,17 +97,6 @@ impl BankWear {
         let slow = self.slow_writes as f64 + self.cancelled_slow_equiv;
         normal + slow * slow_factor.powf(-expo_factor)
     }
-
-    /// Returns the fraction of completed demand writes that were slow,
-    /// or 0.0 when none completed.
-    pub fn slow_fraction(&self) -> f64 {
-        let total = self.completed_writes();
-        if total == 0 {
-            0.0
-        } else {
-            self.slow_writes as f64 / total as f64
-        }
-    }
 }
 
 /// Optional per-block wear table for small configurations.
@@ -290,19 +279,9 @@ impl WearLedger {
         self.banks.iter()
     }
 
-    /// Returns the number of banks tracked.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Returns total wear summed over all banks.
     pub fn total_wear(&self) -> f64 {
         self.banks.iter().map(|b| b.total_wear).sum()
-    }
-
-    /// Returns the wear of the most-worn bank.
-    pub fn max_bank_wear(&self) -> f64 {
-        self.banks.iter().fold(0.0f64, |a, b| a.max(b.total_wear))
     }
 
     /// Returns the per-block table, when tracking is enabled.
@@ -328,7 +307,6 @@ mod tests {
         assert_eq!(b.normal_writes, 1);
         assert_eq!(b.slow_writes, 1);
         assert!((b.total_wear - (1.0 + 1.0 / 9.0)).abs() < 1e-12);
-        assert!((b.slow_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -388,8 +366,6 @@ mod tests {
         l.record_write(1, None, 1.0);
         l.record_write(1, None, 1.0);
         assert!((l.total_wear() - 3.0).abs() < 1e-12);
-        assert!((l.max_bank_wear() - 2.0).abs() < 1e-12);
-        assert_eq!(l.bank_count(), 4);
         assert_eq!(l.iter().count(), 4);
     }
 
@@ -407,11 +383,6 @@ mod tests {
         // Under expo 1.0 the slow parts weigh 1/3 instead of 1/9.
         let expect = 2.0 + (1.0 + 0.5) / 3.0;
         assert!((b.wear_under(1.0, 3.0) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slow_fraction_zero_when_no_writes() {
-        assert_eq!(BankWear::default().slow_fraction(), 0.0);
     }
 
     #[test]
