@@ -9,7 +9,7 @@ use mellow_core::WritePolicy;
 use mellow_engine::stats::geometric_mean;
 use mellow_memctrl::MemConfig;
 use mellow_nvm::energy::{CellKind, EnergyModel};
-use mellow_nvm::{EnduranceModel, ExpoFactor, LevelerConfig, LifetimeModel, SECONDS_PER_YEAR};
+use mellow_nvm::{EnduranceModel, ExpoFactor, LevelerConfig, SECONDS_PER_YEAR};
 use mellow_sim::Metrics;
 use std::fmt::Write as _;
 
@@ -363,13 +363,9 @@ pub fn fig16(matrix: &[Metrics]) -> String {
 /// Recomputes a run's lifetime under a different endurance exponent
 /// (valid for non-WQ policies; see `BankWear::wear_under`).
 pub fn lifetime_under(m: &Metrics, expo: f64, slow_factor: f64) -> f64 {
-    let cfg = MemConfig::paper_default();
-    let budget = LifetimeModel::new(
-        EnduranceModel::reram_default().base_endurance(),
-        cfg.blocks_per_bank(),
-        cfg.leveling_efficiency,
-    )
-    .bank_wear_budget();
+    let budget = MemConfig::paper_default()
+        .lifetime_model(&EnduranceModel::reram_default())
+        .bank_wear_budget();
     m.bank_wear
         .iter()
         .map(|b| {

@@ -8,7 +8,7 @@
 //! doc comment or format string would produce phantom diagnostics.
 //!
 //! The lexer also extracts `mellow-lint: allow(<rule>)` markers from line
-//! comments so rules can honor inline waivers.
+//! comments, so the per-file routine can drop the findings they waive.
 
 /// Token classification. Coarser than rustc's: every operator or delimiter is
 /// a [`TokKind::Punct`], with multi-character sequences that matter to the
@@ -56,7 +56,7 @@ pub struct Lexed {
 }
 
 /// Returns true if `line` is covered by a waiver for `rule`.
-pub fn allowed(allows: &[Allow], rule: &str, line: u32) -> bool {
+pub(crate) fn allowed(allows: &[Allow], rule: &str, line: u32) -> bool {
     allows
         .iter()
         .any(|a| (a.line == line || a.line + 1 == line) && a.rules.iter().any(|r| r == rule))

@@ -6,7 +6,7 @@
 //! can protect forever: one `as u64`, one `HashMap` iteration or one
 //! cloned `DetRng` in a future patch silently re-introduces the bug
 //! class. This crate walks every workspace `.rs` file with a hand-rolled
-//! lexer and enforces five rules (see [`rules`]):
+//! lexer and enforces five rules:
 //!
 //! | rule | name | enforces |
 //! |------|------|----------|
@@ -18,17 +18,24 @@
 //!
 //! Rule numbers are stable: L5 and L7 are retired and not reused.
 //!
-//! The rules are trait objects in a [`rules::registry`] sharing one lexing
-//! pass per file. Any violation fails the build; the one escape hatch is
-//! an inline `// mellow-lint: allow(<rule>) -- reason` waiver on a
-//! deliberate, permanent site.
+//! Each rule is a plain function over a file's tokens. One per-file
+//! routine lexes a file once, runs the file-local rules (L1–L3 and L6)
+//! its path is in scope for and drops their findings an inline waiver
+//! covers, then hands the file to L4's cross-file collector, which
+//! reports after the last file. [`lint_source`] and
+//! [`runner::collect_violations`] both run that routine.
+//!
+//! Any violation fails the build. The one escape hatch is an inline
+//! `// mellow-lint: allow(<rule>) -- reason` waiver on a deliberate,
+//! permanent site; it covers its own line and the next, and only L1–L3
+//! and L6 read it. L4 takes no waiver.
 //!
 //! Run it with `cargo run -p mellow-lint` from anywhere in the workspace.
 //! It exits 0 when no rule fires, 1 on any violation, and 2 on a usage
 //! or I/O error.
 
 pub mod lexer;
-pub mod rules;
+mod rules;
 pub mod runner;
 
 use std::fmt;
@@ -97,29 +104,17 @@ impl fmt::Display for Violation {
 }
 
 /// Lints a single source text as if it lived at `rel_path` inside the
-/// workspace. Rule scoping (which crates each rule applies to, the
-/// `time.rs`/`clock.rs` exemption, test-file paths) follows the same logic
-/// as the workspace runner. The cross-file check (L4) only sees this one
+/// workspace, through the same per-file routine as the workspace runner:
+/// rule scoping (which crates each rule applies to, the
+/// `time.rs`/`clock.rs`/`rng.rs` exemptions, test-file paths) and waivers
+/// follow the same logic. The cross-file check (L4) only sees this one
 /// file.
 ///
 /// This is the entry point the fixture tests drive.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
-    let scope = runner::classify(rel_path);
-    let lx = lexer::lex(src);
-    let excluded = rules::test_spans(&lx.toks);
-    let ctx = rules::FileCtx {
-        path: rel_path,
-        scope,
-        lx: &lx,
-        excluded: &excluded,
-    };
-    let mut out = Vec::new();
-    for rule in &mut rules::registry() {
-        if rule.applies(&scope) {
-            out.extend(rule.check_file(&ctx));
-        }
-        out.extend(rule.finish());
-    }
+    let mut l4 = rules::stats::Collector::default();
+    let mut out = rules::lint_file(rel_path, src, &mut l4);
+    out.extend(l4.finish());
     out.sort();
     out
 }

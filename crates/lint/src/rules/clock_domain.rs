@@ -1,9 +1,7 @@
 //! L1 — clock-domain discipline.
 
-use super::{FileCtx, LintRule};
-use crate::lexer::{allowed, Lexed, Tok, TokKind};
-use crate::runner::Scope;
-use crate::{Rule, Violation};
+use super::Finding;
+use crate::lexer::{Tok, TokKind};
 
 /// Integer type names a raw time quantity could hide behind.
 const INT_TYPES: &[&str] = &[
@@ -27,7 +25,7 @@ fn is_numeric_type(s: &str) -> bool {
 /// flagged (they are usually already `SimTime`); the rule targets the naming
 /// conventions this workspace actually uses for raw counts: `*_cycle(s)`,
 /// `*_ps`, `*_ns`, `*_us` and the bare words `cycle`/`cycles`.
-pub fn is_time_flavored(name: &str) -> bool {
+fn is_time_flavored(name: &str) -> bool {
     matches!(name, "cycle" | "cycles" | "ps" | "ns")
         || name.ends_with("_cycle")
         || name.ends_with("_cycles")
@@ -71,36 +69,12 @@ fn ends_operand(t: &Tok) -> bool {
     false
 }
 
-pub struct ClockDomain;
-
-impl LintRule for ClockDomain {
-    fn rule(&self) -> Rule {
-        Rule::ClockDomain
-    }
-
-    fn applies(&self, scope: &Scope) -> bool {
-        scope.check_clock_domain
-    }
-
-    fn check_file(&mut self, ctx: &FileCtx<'_>) -> Vec<Violation> {
-        check(ctx.path, ctx.lx, ctx.excluded)
-    }
-}
-
-fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
-    let toks = &lx.toks;
+/// L1 over one file's non-test tokens: raw casts of time-flavored
+/// operands, raw-integer time declarations and time-named functions
+/// returning raw integers.
+pub(super) fn check(toks: &[Tok], excluded: &[bool]) -> Vec<Finding> {
     let n = toks.len();
     let mut out = Vec::new();
-    let mut push = |line: u32, message: String| {
-        if !allowed(&lx.allows, Rule::ClockDomain.name(), line) {
-            out.push(Violation {
-                rule: Rule::ClockDomain,
-                file: file.to_string(),
-                line,
-                message,
-            });
-        }
-    };
 
     for i in 0..n {
         if excluded[i] {
@@ -143,7 +117,7 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                 j -= 1;
             }
             if let Some(name) = culprit {
-                push(
+                out.push((
                     t.line,
                     format!(
                         "raw `as {}` cast involving time-domain quantity `{}`; \
@@ -151,7 +125,7 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                         toks[i + 1].text,
                         name
                     ),
-                );
+                ));
             }
         }
 
@@ -171,14 +145,14 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                 j += 1;
             }
             if j < n && toks[j].kind == TokKind::Ident && is_int_type(&toks[j].text) {
-                push(
+                out.push((
                     t.line,
                     format!(
                         "time-domain quantity `{}` declared as raw `{}`; \
                          use CoreCycles, MemCycles, SimTime or Duration",
                         t.text, toks[j].text
                     ),
-                );
+                ));
             }
         }
 
@@ -199,7 +173,7 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                                 && toks[j + 1].kind == TokKind::Ident
                                 && is_int_type(&toks[j + 1].text)
                             {
-                                push(
+                                out.push((
                                     name.line,
                                     format!(
                                         "fn `{}` returns raw `{}`; return a typed \
@@ -207,7 +181,7 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                                         name.text,
                                         toks[j + 1].text
                                     ),
-                                );
+                                ));
                             }
                             break;
                         }

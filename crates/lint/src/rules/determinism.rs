@@ -1,9 +1,7 @@
 //! L2 — determinism: no hash-order iteration, no wall clocks.
 
-use super::{FileCtx, LintRule};
-use crate::lexer::{allowed, Lexed, Tok, TokKind};
-use crate::runner::Scope;
-use crate::{Rule, Violation};
+use super::Finding;
+use crate::lexer::{Tok, TokKind};
 
 /// Methods whose receiver being a hash collection means order-dependent
 /// iteration.
@@ -140,37 +138,12 @@ fn normalized_downstream(toks: &[Tok], from: usize) -> bool {
     false
 }
 
-pub struct Determinism;
-
-impl LintRule for Determinism {
-    fn rule(&self) -> Rule {
-        Rule::Determinism
-    }
-
-    fn applies(&self, scope: &Scope) -> bool {
-        scope.check_determinism
-    }
-
-    fn check_file(&mut self, ctx: &FileCtx<'_>) -> Vec<Violation> {
-        check(ctx.path, ctx.lx, ctx.excluded)
-    }
-}
-
-fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
-    let toks = &lx.toks;
+/// L2 over one file's non-test tokens: wall-clock types and
+/// un-normalized iteration over hash collections.
+pub(super) fn check(toks: &[Tok], excluded: &[bool]) -> Vec<Finding> {
     let n = toks.len();
     let names = hash_collection_names(toks);
     let mut out = Vec::new();
-    let mut push = |line: u32, message: String| {
-        if !allowed(&lx.allows, Rule::Determinism.name(), line) {
-            out.push(Violation {
-                rule: Rule::Determinism,
-                file: file.to_string(),
-                line,
-                message,
-            });
-        }
-    };
 
     for i in 0..n {
         if excluded[i] {
@@ -180,13 +153,13 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
 
         // Wall-clock types are banned outright in simulation crates.
         if t.kind == TokKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
-            push(
+            out.push((
                 t.line,
                 format!(
                     "`{}` (wall clock) in a simulation crate breaks reproducibility",
                     t.text
                 ),
-            );
+            ));
             continue;
         }
 
@@ -201,7 +174,7 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
             && names.contains(&toks[i - 1].text)
             && !normalized_downstream(toks, i + 3)
         {
-            push(
+            out.push((
                 toks[i + 1].line,
                 format!(
                     "iteration over hash collection `{}` via `.{}()` has nondeterministic \
@@ -210,7 +183,7 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                     toks[i - 1].text,
                     toks[i + 1].text
                 ),
-            );
+            ));
         }
 
         // `for k in [&mut] [self.] <hash collection> {`.
@@ -229,13 +202,13 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                 && toks[j + 1].text == "{"
                 && !excluded[j]
             {
-                push(
+                out.push((
                     toks[j].line,
                     format!(
                         "`for` loop over hash collection `{}` has nondeterministic order",
                         toks[j].text
                     ),
-                );
+                ));
             }
         }
     }

@@ -1,17 +1,16 @@
-//! The lint rules, organized as a registry.
+//! The lint rules, and the one routine that runs them over a file.
 //!
-//! Every rule implements [`LintRule`] over a shared per-file context
-//! ([`FileCtx`]): the runner lexes each workspace file once, computes its
-//! test spans once, and hands the same token stream to every rule whose
-//! scope matches — five rules, one lexing pass, no duplicated boilerplate.
-//! File-local rules return violations straight from
-//! [`LintRule::check_file`]; the cross-file rule (L4 stats references)
-//! accumulates state there and emits from [`LintRule::finish`] after the
-//! walk.
+//! [`lint_file`] lexes a file once, masks its test code once, and calls
+//! each file-local rule's `check` whose scope covers the file's path.
+//! Each `check` returns `(line, message)` findings; `lint_file` drops
+//! those an inline waiver covers and tags the rest with the rule and the
+//! file. The cross-file rule (L4 stats references) takes no waivers: the
+//! file goes to its [`stats::Collector`], which reports after every file
+//! has been added.
 //!
 //! All rules skip test code: `#[cfg(test)]` modules, `#[test]`/`#[bench]`
-//! items, and whole files under `tests/`, `benches/` or `examples/` (the
-//! latter handled by the runner's scoping, see [`crate::runner`]).
+//! items, and whole files under `tests/`, `benches/` or `examples/` (see
+//! [`library_crate`]).
 //!
 //! - **clock-domain** (L1): raw integer arithmetic on time-flavored
 //!   quantities. Cycle counts must live in `CoreCycles`/`MemCycles` and
@@ -30,56 +29,104 @@
 //!   named stream-derivation constructors, never cloned into two
 //!   consumers, and `skip(n)` appears only in span-replay code.
 
-pub mod clock_domain;
+mod clock_domain;
 mod common;
-pub mod determinism;
-pub mod panic_policy;
-pub mod rng_discipline;
-pub mod stats;
+mod determinism;
+mod panic_policy;
+mod rng_discipline;
+pub(crate) mod stats;
 
-pub use clock_domain::is_time_flavored;
-pub use common::{collect_idents, fn_items, test_spans, FnItem};
-pub use stats::{collect_stats_structs, StatsStruct};
-
-use crate::lexer::Lexed;
-use crate::runner::Scope;
+use crate::lexer::{allowed, lex};
 use crate::{Rule, Violation};
 
-/// Everything a rule needs about one file: its workspace-relative path,
-/// the scope the runner classified it into, the shared token stream and
-/// the shared test-span mask.
-pub struct FileCtx<'a> {
-    pub path: &'a str,
-    pub scope: Scope,
-    pub lx: &'a Lexed,
-    pub excluded: &'a [bool],
-}
+/// A file-local rule firing: the line and the message.
+type Finding = (u32, String);
 
-/// One lint pass over the shared token stream.
-pub trait LintRule {
-    /// Which [`Rule`] this pass reports as.
-    fn rule(&self) -> Rule;
+/// Simulation crates (directory names under `crates/`): the scope of
+/// L1–L3 and L6. `bench` is deliberately absent — it is the figures
+/// harness, whose wall-clock use (the sweep's progress ETA) is
+/// legitimate; its *artifacts* are kept deterministic by `ResultStore`
+/// instead.
+const SIM_CRATES: &[&str] = &[
+    "engine",
+    "cache",
+    "core",
+    "cpu",
+    "memctrl",
+    "nvm",
+    "sim",
+    "workloads",
+];
 
-    /// Whether this pass wants to see files classified with `scope`.
-    fn applies(&self, scope: &Scope) -> bool;
-
-    /// Visits one file; file-local rules return their violations here,
-    /// cross-file rules accumulate state and return nothing.
-    fn check_file(&mut self, ctx: &FileCtx<'_>) -> Vec<Violation>;
-
-    /// Emits cross-file violations after every file has been visited.
-    fn finish(&mut self) -> Vec<Violation> {
-        Vec::new()
+/// The crate whose library source `rel_path` (workspace-relative, `/`
+/// separators) is, `mellow-writes` for the root `src/`; `None` for a
+/// file no rule reads: anything under a `tests/`, `benches/`,
+/// `examples/` or `fixtures/` directory, outside a `src/` tree, or in the
+/// lint crate itself. L4 reads every other file.
+pub(crate) fn library_crate(rel_path: &str) -> Option<&str> {
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    if parts
+        .iter()
+        .any(|p| matches!(*p, "tests" | "benches" | "examples" | "fixtures"))
+    {
+        return None;
+    }
+    match parts.as_slice() {
+        ["crates", "lint", ..] => None,
+        ["crates", name, "src", ..] => Some(*name),
+        ["src", ..] => Some("mellow-writes"),
+        _ => None,
     }
 }
 
-/// The full registry, in [`Rule::ALL`] order.
-pub fn registry() -> Vec<Box<dyn LintRule>> {
-    vec![
-        Box::new(clock_domain::ClockDomain),
-        Box::new(determinism::Determinism),
-        Box::new(panic_policy::PanicPolicy),
-        Box::new(stats::StatsExhaustiveness::default()),
-        Box::new(rng_discipline::RngDiscipline),
-    ]
+/// Whether `rule` skips `rel_path` as the engine file that implements
+/// what it polices: `time.rs`/`clock.rs`, the one sanctioned crossing
+/// between clock domains (L1), and `rng.rs`, the `DetRng` implementation
+/// itself (L6).
+fn engine_exempt(rule: Rule, rel_path: &str) -> bool {
+    match rule {
+        Rule::ClockDomain => matches!(
+            rel_path,
+            "crates/engine/src/time.rs" | "crates/engine/src/clock.rs"
+        ),
+        Rule::RngDiscipline => rel_path == "crates/engine/src/rng.rs",
+        _ => false,
+    }
+}
+
+/// Lints one file as if it lived at `rel_path`: the unwaived findings of
+/// every file-local rule in scope, with the file added to `l4` for the
+/// cross-file check. A file no rule reads yields nothing and adds
+/// nothing.
+pub(crate) fn lint_file(rel_path: &str, src: &str, l4: &mut stats::Collector) -> Vec<Violation> {
+    let Some(krate) = library_crate(rel_path) else {
+        return Vec::new();
+    };
+    let lx = lex(src);
+    let toks = &lx.toks;
+    let excluded = common::test_spans(toks);
+    let mut out = Vec::new();
+    let mut keep = |rule: Rule, found: Vec<Finding>| {
+        let unwaived = found
+            .into_iter()
+            .filter(|(line, _)| !allowed(&lx.allows, rule.name(), *line));
+        out.extend(unwaived.map(|(line, message)| Violation {
+            rule,
+            file: rel_path.to_string(),
+            line,
+            message,
+        }));
+    };
+    if SIM_CRATES.contains(&krate) {
+        if !engine_exempt(Rule::ClockDomain, rel_path) {
+            keep(Rule::ClockDomain, clock_domain::check(toks, &excluded));
+        }
+        keep(Rule::Determinism, determinism::check(toks, &excluded));
+        keep(Rule::PanicPolicy, panic_policy::check(toks, &excluded));
+        if !engine_exempt(Rule::RngDiscipline, rel_path) {
+            keep(Rule::RngDiscipline, rng_discipline::check(toks, &excluded));
+        }
+    }
+    l4.add(rel_path, toks, &excluded);
+    out
 }

@@ -1,40 +1,12 @@
 //! L3 — panic policy: no `.unwrap()` / `.expect("")` in library code.
 
-use super::{FileCtx, LintRule};
-use crate::lexer::{allowed, Lexed, TokKind};
-use crate::runner::Scope;
-use crate::{Rule, Violation};
+use super::Finding;
+use crate::lexer::{Tok, TokKind};
 
-pub struct PanicPolicy;
-
-impl LintRule for PanicPolicy {
-    fn rule(&self) -> Rule {
-        Rule::PanicPolicy
-    }
-
-    fn applies(&self, scope: &Scope) -> bool {
-        scope.check_panic_policy
-    }
-
-    fn check_file(&mut self, ctx: &FileCtx<'_>) -> Vec<Violation> {
-        check(ctx.path, ctx.lx, ctx.excluded)
-    }
-}
-
-fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
-    let toks = &lx.toks;
+/// L3 over one file's non-test tokens: `.unwrap()` and `.expect("")`.
+pub(super) fn check(toks: &[Tok], excluded: &[bool]) -> Vec<Finding> {
     let n = toks.len();
     let mut out = Vec::new();
-    let mut push = |line: u32, message: String| {
-        if !allowed(&lx.allows, Rule::PanicPolicy.name(), line) {
-            out.push(Violation {
-                rule: Rule::PanicPolicy,
-                file: file.to_string(),
-                line,
-                message,
-            });
-        }
-    };
 
     for i in 0..n {
         if excluded[i] || toks[i].text != "." {
@@ -45,11 +17,11 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
             && toks[i + 2].text == "("
             && toks[i + 3].text == ")"
         {
-            push(
+            out.push((
                 toks[i + 1].line,
                 "`.unwrap()` in library code; use a typed error or `.expect(\"<invariant>\")`"
                     .to_string(),
-            );
+            ));
         }
         if i + 3 < n
             && toks[i + 1].text == "expect"
@@ -64,11 +36,11 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                 _ => true,
             };
             if empty {
-                push(
+                out.push((
                     toks[i + 1].line,
                     "`.expect(\"\")` with an empty message; state the violated invariant"
                         .to_string(),
-                );
+                ));
             }
         }
     }

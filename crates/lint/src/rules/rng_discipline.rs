@@ -16,10 +16,8 @@
 //!   name mentions `span`, `fast_forward` or `replay`).
 
 use super::common::fn_items;
-use super::{FileCtx, LintRule};
-use crate::lexer::{allowed, Lexed, Tok, TokKind};
-use crate::runner::Scope;
-use crate::{Rule, Violation};
+use super::Finding;
+use crate::lexer::{Tok, TokKind};
 
 /// Function-name fragments that mark sanctioned span-replay code, where
 /// `skip(n)` reproduces a closed-form fast-forward of the stream.
@@ -53,24 +51,9 @@ fn derived_in_statement(toks: &[Tok], from: usize) -> bool {
     false
 }
 
-pub struct RngDiscipline;
-
-impl LintRule for RngDiscipline {
-    fn rule(&self) -> Rule {
-        Rule::RngDiscipline
-    }
-
-    fn applies(&self, scope: &Scope) -> bool {
-        scope.check_rng_discipline
-    }
-
-    fn check_file(&mut self, ctx: &FileCtx<'_>) -> Vec<Violation> {
-        check(ctx.path, ctx.lx, ctx.excluded)
-    }
-}
-
-fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
-    let toks = &lx.toks;
+/// L6 over one file's non-test tokens: raw `SmallRng`, underived
+/// `DetRng::seed_from`, rng clones and skips outside span replay.
+pub(super) fn check(toks: &[Tok], excluded: &[bool]) -> Vec<Finding> {
     let n = toks.len();
     let items = fn_items(toks);
     let enclosing_is_replay = |i: usize| {
@@ -83,16 +66,6 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
         })
     };
     let mut out = Vec::new();
-    let mut push = |line: u32, message: String| {
-        if !allowed(&lx.allows, Rule::RngDiscipline.name(), line) {
-            out.push(Violation {
-                rule: Rule::RngDiscipline,
-                file: file.to_string(),
-                line,
-                message,
-            });
-        }
-    };
 
     for i in 0..n {
         if excluded[i] {
@@ -102,11 +75,11 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
 
         // Raw `SmallRng` bypasses the DetRng wrapper entirely.
         if t.kind == TokKind::Ident && t.text == "SmallRng" {
-            push(
+            out.push((
                 t.line,
                 "raw `SmallRng` outside `mellow-engine::rng`; all streams go through `DetRng`"
                     .to_string(),
-            );
+            ));
             continue;
         }
 
@@ -118,12 +91,12 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
             && toks[i + 3].text == "("
             && !derived_in_statement(toks, i + 3)
         {
-            push(
+            out.push((
                 toks[i + 2].line,
                 "ad-hoc `DetRng::seed_from(..)` without a named stream derivation; \
                  use `DetRng::xor_stream(seed, STREAM)` or chain `.derive(STREAM)`"
                     .to_string(),
-            );
+            ));
         }
 
         if t.text != "." || i + 2 >= n || i == 0 {
@@ -136,26 +109,26 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
 
         // `.clone()` forks a stream into two consumers.
         if method.text == "clone" {
-            push(
+            out.push((
                 method.line,
                 format!(
                     "`{}.clone()` forks one random stream into two consumers; \
                      derive a named child stream instead",
                     toks[i - 1].text
                 ),
-            );
+            ));
         }
 
         // `.skip(n)` is the span-replay fast-forward — nowhere else.
         if method.text == "skip" && !enclosing_is_replay(i) {
-            push(
+            out.push((
                 method.line,
                 format!(
                     "`{}.skip(..)` outside span-replay code; skipping draws elsewhere \
                      desynchronizes the stream from its recorded history",
                     toks[i - 1].text
                 ),
-            );
+            ));
         }
     }
     out

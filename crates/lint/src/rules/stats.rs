@@ -3,26 +3,22 @@
 //! report/merge. A counter that is bumped but never read (or declared and
 //! never bumped) is dead telemetry.
 
-use super::common::collect_idents;
-use super::{FileCtx, LintRule};
-use crate::lexer::{Lexed, TokKind};
-use crate::runner::Scope;
+use super::common::close_of;
+use crate::lexer::{Tok, TokKind};
 use crate::{Rule, Violation};
 
 /// A `*Stats` struct declaration found in a file: name, field names with
-/// their lines, and the token/line span of the declaration itself.
-#[derive(Debug, Clone)]
-pub struct StatsStruct {
-    pub file: String,
-    pub name: String,
-    pub fields: Vec<(String, u32)>,
-    pub start_line: u32,
-    pub end_line: u32,
+/// their lines, and the line span of the declaration itself.
+struct StatsStruct {
+    file: String,
+    name: String,
+    fields: Vec<(String, u32)>,
+    start_line: u32,
+    end_line: u32,
 }
 
 /// Collects every non-test `struct FooStats { ... }` declaration.
-pub fn collect_stats_structs(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<StatsStruct> {
-    let toks = &lx.toks;
+fn collect_stats_structs(file: &str, toks: &[Tok], excluded: &[bool]) -> Vec<StatsStruct> {
     let n = toks.len();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -73,23 +69,9 @@ pub fn collect_stats_structs(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<S
                         break;
                     }
                 }
+                // Skip field attributes.
                 "#" if depth == 1 && k + 1 < n && toks[k + 1].text == "[" => {
-                    // Skip field attributes.
-                    let mut d = 0usize;
-                    k += 1;
-                    while k < n {
-                        match toks[k].text.as_str() {
-                            "[" => d += 1,
-                            "]" => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
+                    k = close_of(toks, k + 1);
                 }
                 _ => {
                     // A field is `ident :` at depth 1, where the previous
@@ -119,80 +101,63 @@ pub fn collect_stats_structs(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<S
     out
 }
 
-/// The registry pass: accumulates `*Stats` declarations and identifier
-/// occurrences per file, then checks reference counts in
-/// [`LintRule::finish`].
+/// L4's cross-file state: the `*Stats` declarations and the non-test
+/// identifier occurrences of every file seen so far.
 #[derive(Default)]
-pub struct StatsExhaustiveness {
+pub(crate) struct Collector {
     structs: Vec<StatsStruct>,
     idents: Vec<(String, Vec<(String, u32)>)>,
 }
 
-impl LintRule for StatsExhaustiveness {
-    fn rule(&self) -> Rule {
-        Rule::StatsExhaustiveness
+impl Collector {
+    /// Records one file's declarations and identifier occurrences.
+    pub(crate) fn add(&mut self, file: &str, toks: &[Tok], excluded: &[bool]) {
+        self.structs
+            .extend(collect_stats_structs(file, toks, excluded));
+        let idents = toks
+            .iter()
+            .zip(excluded)
+            .filter(|(t, ex)| t.kind == TokKind::Ident && !**ex)
+            .map(|(t, _)| (t.text.clone(), t.line))
+            .collect();
+        self.idents.push((file.to_string(), idents));
     }
 
-    fn applies(&self, scope: &Scope) -> bool {
-        scope.check_stats || scope.collect_idents
-    }
-
-    fn check_file(&mut self, ctx: &FileCtx<'_>) -> Vec<Violation> {
-        if ctx.scope.check_stats {
-            self.structs
-                .extend(collect_stats_structs(ctx.path, ctx.lx, ctx.excluded));
-        }
-        if ctx.scope.collect_idents {
-            self.idents
-                .push((ctx.path.to_string(), collect_idents(ctx.lx, ctx.excluded)));
-        }
-        Vec::new()
-    }
-
-    fn finish(&mut self) -> Vec<Violation> {
-        let out = check_exhaustive(&self.structs, &self.idents);
-        self.structs.clear();
-        self.idents.clear();
-        out
-    }
-}
-
-/// The reference check: `idents` maps a file path to its non-test
-/// identifier occurrences; declarations themselves are excluded by line
-/// span.
-fn check_exhaustive(
-    structs: &[StatsStruct],
-    idents: &[(String, Vec<(String, u32)>)],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for s in structs {
-        for (field, line) in &s.fields {
-            let uses: usize = idents
-                .iter()
-                .map(|(file, occs)| {
-                    occs.iter()
-                        .filter(|(name, occ_line)| {
-                            name == field
-                                && !(file == &s.file
-                                    && *occ_line >= s.start_line
-                                    && *occ_line <= s.end_line)
-                        })
-                        .count()
-                })
-                .sum();
-            if uses < 2 {
-                out.push(Violation {
-                    rule: Rule::StatsExhaustiveness,
-                    file: s.file.clone(),
-                    line: *line,
-                    message: format!(
-                        "stats field `{}.{}` is referenced {} time(s) outside its declaration; \
-                         every counter needs both an accumulation and a report/merge site",
-                        s.name, field, uses
-                    ),
-                });
+    /// The reference check over every file added: a field fires when
+    /// fewer than two occurrences lie outside its own declaration's line
+    /// span.
+    pub(crate) fn finish(self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for s in &self.structs {
+            for (field, line) in &s.fields {
+                let uses: usize = self
+                    .idents
+                    .iter()
+                    .map(|(file, occs)| {
+                        occs.iter()
+                            .filter(|(name, occ_line)| {
+                                name == field
+                                    && !(file == &s.file
+                                        && *occ_line >= s.start_line
+                                        && *occ_line <= s.end_line)
+                            })
+                            .count()
+                    })
+                    .sum();
+                if uses < 2 {
+                    out.push(Violation {
+                        rule: Rule::StatsExhaustiveness,
+                        file: s.file.clone(),
+                        line: *line,
+                        message: format!(
+                            "stats field `{}.{}` is referenced {} time(s) outside its declaration; \
+                             every counter needs both an accumulation and a report/merge site",
+                            s.name, field, uses
+                        ),
+                    });
+                }
             }
         }
+        out
     }
-    out
 }

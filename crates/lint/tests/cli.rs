@@ -66,6 +66,20 @@ fn a_violation_exits_one_with_one_github_annotation() {
 }
 
 #[test]
+fn a_cross_file_stats_violation_reaches_the_binary() {
+    let tree = Tree::new("stats", "pub struct FooStats {\n    pub dead: u64,\n}\n");
+    let out = lint(&tree.0, &["--format", "github"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert!(
+        stdout.starts_with(
+            "::error file=crates/engine/src/x.rs,line=2,title=mellow-lint stats-exhaustiveness::"
+        ),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn baseline_and_list_options_are_unknown() {
     let tree = Tree::new("options", CLEAN);
     for args in [&["--write-baseline"][..], &["--baseline", "F"], &["--list"]] {

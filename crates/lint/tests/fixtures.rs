@@ -469,3 +469,100 @@ fn l6_exempts_the_rng_module_itself() {
         "the DetRng implementation is the sanctioned construction point"
     );
 }
+
+// ------------------------------------------------------ waivers and scope
+
+/// The lines at which `rule` fires on `src` linted as `path`.
+fn lines_fired(rule: Rule, path: &str, src: &str) -> Vec<u32> {
+    lint_source(path, src)
+        .into_iter()
+        .filter(|v| v.rule == rule)
+        .map(|v| v.line)
+        .collect()
+}
+
+#[test]
+fn l1_allow_comment_covers_its_line_and_the_next_only() {
+    let src = r#"pub fn f(core_ps: SimTime) -> u64 {
+    let a = core_ps as u64; // mellow-lint: allow(clock-domain) -- same line
+    // mellow-lint: allow(clock-domain) -- next line
+    let b = core_ps as u64;
+    // mellow-lint: allow(clock-domain) -- two lines down is out of reach
+
+    let c = core_ps as u64;
+    let d = core_ps as u64; // mellow-lint: allow(determinism) -- another rule
+    a + b + c + d
+}
+"#;
+    assert_eq!(lines_fired(Rule::ClockDomain, SIM, src), vec![7, 8]);
+}
+
+#[test]
+fn l3_allow_comment_covers_its_line_and_the_next_only() {
+    let src = r#"pub fn f(x: Option<u32>) -> u32 {
+    let a = x.unwrap(); // mellow-lint: allow(panic-policy) -- same line
+    // mellow-lint: allow(panic-policy) -- next line
+    let b = x.expect("");
+    // mellow-lint: allow(panic-policy) -- two lines down is out of reach
+
+    let c = x.unwrap();
+    let d = x.unwrap(); // mellow-lint: allow(clock-domain) -- another rule
+    a + b + c + d
+}
+"#;
+    assert_eq!(lines_fired(Rule::PanicPolicy, SIM, src), vec![7, 8]);
+}
+
+#[test]
+fn l6_allow_comment_covers_its_line_and_the_next_only() {
+    let src = r#"pub fn f(seed: u64, rng: &mut DetRng) -> DetRng {
+    rng.skip(1); // mellow-lint: allow(rng-discipline) -- same line
+    // mellow-lint: allow(rng-discipline) -- next line
+    let _a = rng.clone();
+    // mellow-lint: allow(rng-discipline) -- two lines down is out of reach
+
+    rng.skip(2);
+    DetRng::seed_from(seed) // mellow-lint: allow(panic-policy) -- another rule
+}
+"#;
+    assert_eq!(lines_fired(Rule::RngDiscipline, SIM, src), vec![7, 8]);
+}
+
+#[test]
+fn l4_ignores_allow_comments() {
+    let src = "pub struct FooStats {
+    // mellow-lint: allow(stats-exhaustiveness) -- L4 takes no waiver
+    pub above: u64,
+    pub beside: u64, // mellow-lint: allow(stats-exhaustiveness) -- nor here
+}
+";
+    assert_eq!(lines_fired(Rule::StatsExhaustiveness, SIM, src), vec![3, 4]);
+}
+
+#[test]
+fn harness_and_root_sources_draw_l4_only() {
+    let src = "
+        pub struct FooStats { pub stale: u64 }
+        pub fn f(core_ps: SimTime, x: Option<u32>, rng: &DetRng) -> u64 {
+            let _t = std::time::Instant::now();
+            let _r = rng.clone();
+            let _c = core_ps as u64;
+            u64::from(x.unwrap())
+        }
+    ";
+    assert_eq!(
+        rules_fired(src),
+        Rule::ALL,
+        "a simulation crate draws all five"
+    );
+    for path in ["crates/bench/src/figures.rs", "src/lib.rs"] {
+        assert_eq!(
+            lint_source(path, src)
+                .into_iter()
+                .map(|v| v.rule)
+                .collect::<Vec<_>>(),
+            [Rule::StatsExhaustiveness],
+            "{path}"
+        );
+    }
+}

@@ -2,7 +2,7 @@
 
 use crate::queues::MAX_BANKS;
 use mellow_engine::{Clock, Duration};
-use mellow_nvm::{FaultConfig, LevelerConfig, RetentionConfig};
+use mellow_nvm::{EnduranceModel, FaultConfig, LevelerConfig, LifetimeModel, RetentionConfig};
 
 /// Geometry and timing of the resistive main memory (Table II).
 #[derive(Debug, Clone, PartialEq)]
@@ -140,6 +140,17 @@ impl MemConfig {
         self.total_lines() / self.num_banks as u64
     }
 
+    /// The lifetime model of this geometry under `endurance`: its
+    /// per-block endurance, the blocks per bank and the leveling
+    /// efficiency.
+    pub fn lifetime_model(&self, endurance: &EnduranceModel) -> LifetimeModel {
+        LifetimeModel::new(
+            endurance.base_endurance(),
+            self.blocks_per_bank(),
+            self.leveling_efficiency,
+        )
+    }
+
     /// Maps a global line index to `(bank, row, logical block within
     /// bank)`.
     ///
@@ -157,6 +168,12 @@ impl MemConfig {
             row: idx / lpr,
             block: idx,
         }
+    }
+
+    /// The global line index of logical `block` at `bank`: the inverse of
+    /// [`map_line`](Self::map_line)'s bank-interleaved split.
+    pub(crate) fn line_at(&self, bank: usize, block: u64) -> u64 {
+        block * self.num_banks as u64 + bank as u64
     }
 
     /// Returns the rank a bank belongs to.
@@ -293,6 +310,25 @@ mod tests {
             );
             assert!(m.block < c.blocks_per_bank());
             assert!(m.bank < c.num_banks);
+        }
+    }
+
+    #[test]
+    fn line_at_inverts_map_line_both_ways() {
+        for banks in [1, 4, 16, 64] {
+            let mut c = MemConfig::paper_default().with_banks(banks, 1);
+            c.capacity_bytes = 1 << 20; // small for an exhaustive check
+            c.validate();
+            for line in 0..c.total_lines() {
+                let m = c.map_line(line);
+                assert_eq!(c.line_at(m.bank, m.block), line, "{banks} banks");
+            }
+            for bank in 0..banks {
+                for block in 0..c.blocks_per_bank() {
+                    let m = c.map_line(c.line_at(bank, block));
+                    assert_eq!((m.bank, m.block), (bank, block), "{banks} banks");
+                }
+            }
         }
     }
 

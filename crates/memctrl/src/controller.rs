@@ -14,8 +14,7 @@ use mellow_engine::stats::{BusyTracker, Histogram};
 use mellow_engine::{Duration, MemCycles, SimTime, TimerQueue};
 use mellow_nvm::energy::EnergyAccount;
 use mellow_nvm::{
-    CancelWear, EnduranceModel, LevelerStats, LifetimeModel, LifetimeProjection, WearLedger,
-    WearLeveler,
+    CancelWear, EnduranceModel, LevelerStats, LifetimeProjection, WearLedger, WearLeveler,
 };
 use std::collections::VecDeque;
 
@@ -702,8 +701,7 @@ impl Controller {
         self.banks.busy_time[bank_idx] += end.saturating_since(now);
         self.banks.busy_until[bank_idx] = end;
         self.energy.add_buffer_read();
-        // The inverse of `MemConfig::map_line`'s bank-interleaved split.
-        let line = block * self.cfg.num_banks as u64 + bank_idx as u64;
+        let line = self.cfg.line_at(bank_idx, block);
         if self.repair_if_expired(line, bank_idx, block, now) {
             self.reliability.scrub_detected();
         }
@@ -1067,12 +1065,9 @@ impl Controller {
     /// Projects memory lifetime from the wear accumulated over `elapsed`
     /// (the paper's cyclic-execution methodology).
     pub fn lifetime(&self, elapsed: Duration) -> LifetimeProjection {
-        let model = LifetimeModel::new(
-            self.endurance.base_endurance(),
-            self.cfg.blocks_per_bank(),
-            self.cfg.leveling_efficiency,
-        );
-        model.project(&self.ledger, elapsed)
+        self.cfg
+            .lifetime_model(&self.endurance)
+            .project(&self.ledger, elapsed)
     }
 
     /// Returns the fault-layer counters with the spares-remaining gauge
@@ -1119,16 +1114,12 @@ impl Controller {
 
     /// Projects the years until the usable-capacity fraction drops below
     /// `capacity_fraction`, from the wear accumulated over `elapsed`
-    /// (see [`LifetimeModel::years_to_capacity`]). Uses the configured
-    /// endurance variation when faults are enabled; with faults disabled
-    /// every block fails at the nominal endurance and the projection
-    /// collapses onto the first-failure lifetime.
+    /// (see [`mellow_nvm::LifetimeModel::years_to_capacity`]). Uses the
+    /// configured endurance variation when faults are enabled; with
+    /// faults disabled every block fails at the nominal endurance and the
+    /// projection collapses onto the first-failure lifetime.
     pub fn capacity_years(&self, elapsed: Duration, capacity_fraction: f64) -> f64 {
-        let model = LifetimeModel::new(
-            self.endurance.base_endurance(),
-            self.cfg.blocks_per_bank(),
-            self.cfg.leveling_efficiency,
-        );
+        let model = self.cfg.lifetime_model(&self.endurance);
         let sigma = if self.cfg.fault.enabled {
             self.cfg.fault.endurance_sigma
         } else {
@@ -1181,8 +1172,7 @@ impl Controller {
             self.drain_tracker.set_busy(now);
         }
         if let Some(q) = &self.quota {
-            let mut qc = *q.config();
-            qc.endurance_per_block = self.endurance.base_endurance();
+            let qc = *q.config();
             self.quota = Some(WearQuota::new(qc, self.cfg.num_banks));
             self.next_period_at = now + qc.sample_period;
         }
