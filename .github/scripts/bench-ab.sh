@@ -6,9 +6,12 @@
 #
 # For every workload in BENCHMARK.json it runs PAIRS pairs of
 # `bench --workload W --seed SEED --seconds RUN_SECONDS`; odd pairs run
-# the base first, even pairs the head. Each pair gives one head/base
-# ratio per metric. Both runs of a pair share the host's conditions, so
-# the ratio cancels most of the host's noise.
+# the base first, even pairs the head. RUN_SECONDS is BENCHMARK.json's
+# `run_seconds`, the run length the benchmark itself judges: a metric
+# that grows with the pass count (`paper-sweep`'s `peak_rss_mib`) reads
+# differently in a shorter run. Each pair gives one head/base ratio per
+# metric. Both runs of a pair share the host's conditions, so the ratio
+# cancels most of the host's noise.
 #
 # Every end-to-end metric BENCHMARK.json declares is gated (GATED is
 # read from its `end_to_end` list). A gated metric fails on a workload
@@ -29,7 +32,6 @@
 set -euo pipefail
 
 PAIRS=5
-RUN_SECONDS=3
 LOSSES_TO_FAIL=4
 TABLE=bench-ab.json
 
@@ -41,6 +43,7 @@ base_bin=$1
 head_bin=$2
 seed=$3
 spec="$(dirname "$0")/../../BENCHMARK.json"
+RUN_SECONDS=$(jq -er .run_seconds "$spec")
 GATED=$(jq -c '[.end_to_end[].name]' "$spec")
 
 # One run of `bench` ($1) on workload $2, printed as one JSON object:

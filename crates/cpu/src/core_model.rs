@@ -390,8 +390,13 @@ impl Core {
     /// Marks the access `id` complete (a load's data arrived, or a
     /// store's line was filled). Unknown identifiers — e.g. stores
     /// already retired — are ignored.
+    ///
+    /// The search starts at the youngest entry: most completions are L1
+    /// hits, which arrive a few cycles after they issue, so their op sits
+    /// near the tail while older misses hold the head. Ids are unique, so
+    /// the direction changes only the cost.
     pub fn complete(&mut self, id: ReqId) {
-        for entry in self.rob.iter_mut() {
+        for entry in self.rob.iter_mut().rev() {
             if let Entry::Mem { id: eid, state, .. } = entry {
                 if *eid == id {
                     *state = MemState::Done;

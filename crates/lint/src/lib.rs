@@ -104,17 +104,15 @@ impl fmt::Display for Violation {
 }
 
 /// Lints a single source text as if it lived at `rel_path` inside the
-/// workspace, through the same per-file routine as the workspace runner:
-/// rule scoping (which crates each rule applies to, the
-/// `time.rs`/`clock.rs`/`rng.rs` exemptions, test-file paths) and waivers
-/// follow the same logic. The cross-file check (L4) only sees this one
-/// file.
+/// workspace, through the same per-file routine and the same final sort
+/// and deduplication as the workspace runner: rule scoping (which crates
+/// each rule applies to, the `time.rs`/`clock.rs`/`rng.rs` exemptions,
+/// test-file paths) and waivers follow the same logic. The cross-file
+/// check (L4) only sees this one file.
 ///
 /// This is the entry point the fixture tests drive.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
     let mut l4 = rules::stats::Collector::default();
-    let mut out = rules::lint_file(rel_path, src, &mut l4);
-    out.extend(l4.finish());
-    out.sort();
-    out
+    let out = rules::lint_file(rel_path, src, &mut l4);
+    rules::finish(out, l4)
 }

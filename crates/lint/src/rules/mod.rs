@@ -6,7 +6,7 @@
 //! those an inline waiver covers and tags the rest with the rule and the
 //! file. The cross-file rule (L4 stats references) takes no waivers: the
 //! file goes to its [`stats::Collector`], which reports after every file
-//! has been added.
+//! has been added. [`finish`] then sorts and deduplicates the whole list.
 //!
 //! All rules skip test code: `#[cfg(test)]` modules, `#[test]`/`#[bench]`
 //! items, and whole files under `tests/`, `benches/` or `examples/` (see
@@ -128,5 +128,15 @@ pub(crate) fn lint_file(rel_path: &str, src: &str, l4: &mut stats::Collector) ->
         }
     }
     l4.add(rel_path, toks, &excluded);
+    out
+}
+
+/// The list both entry points report: the per-file findings `out` plus
+/// L4's cross-file ones, sorted, with repeats dropped (a rule that fires
+/// twice on one line for one reason is one violation).
+pub(crate) fn finish(mut out: Vec<Violation>, l4: stats::Collector) -> Vec<Violation> {
+    out.extend(l4.finish());
+    out.sort();
+    out.dedup();
     out
 }

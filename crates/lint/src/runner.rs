@@ -54,10 +54,7 @@ pub fn collect_violations(root: &Path) -> io::Result<Vec<Violation>> {
             violations.extend(rules::lint_file(&rel, &src, &mut l4));
         }
     }
-    violations.extend(l4.finish());
-    violations.sort();
-    violations.dedup();
-    Ok(violations)
+    Ok(rules::finish(violations, l4))
 }
 
 /// Per-rule counts for the summary line, in [`Rule::ALL`] order.

@@ -2,7 +2,7 @@
 //! snippet, linted through the same scoping logic as the workspace runner
 //! (fixtures pose as files inside simulation crates).
 
-use mellow_lint::{lint_source, Rule};
+use mellow_lint::{lint_source, runner, Rule};
 
 /// Path under which fixtures are linted: a simulation crate, so every rule
 /// is in scope.
@@ -405,6 +405,30 @@ fn violations_carry_file_line_and_sort_deterministically() {
     assert!(
         rendered.starts_with("crates/memctrl/src/fixture.rs:3: [panic-policy]"),
         "{rendered}"
+    );
+}
+
+#[test]
+fn both_entry_points_report_one_finding_per_line_and_reason() {
+    let rel = "crates/sim/src/seeded.rs";
+    let src = "pub fn f(core_ps: u64) -> u64 { core_ps as u64 + core_ps as u64 }\n";
+    let root = std::env::temp_dir().join(format!("mellow-lint-dedup-{}", std::process::id()));
+    let file = root.join(rel);
+    std::fs::create_dir_all(file.parent().expect("the path has a parent"))
+        .expect("create the temp tree");
+    std::fs::write(&file, src).expect("write the temp source");
+    let walked = runner::collect_violations(&root);
+    let _ = std::fs::remove_dir_all(&root);
+    let walked = walked.expect("the temp tree scans");
+
+    let single = lint_source(rel, src);
+    assert_eq!(single, walked, "both entry points report one list");
+    assert_eq!(single.len(), 2, "{single:?}");
+    assert!(
+        single
+            .iter()
+            .all(|v| v.rule == Rule::ClockDomain && v.line == 1),
+        "{single:?}"
     );
 }
 
