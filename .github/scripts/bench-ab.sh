@@ -27,6 +27,12 @@
 # larger than the base's. A workload the base build does not know is
 # skipped.
 #
+# Each run also records `passes`, the number of `W pass N:` lines
+# `bench` printed on stderr. `paper-sweep`'s `peak_rss_mib` grows with
+# the pass count and also moves between builds that run the same
+# passes; the counts tell the two apart. The summary prints both sides'
+# counts, one line per workload; no gate reads them.
+#
 # Writes the pair table to TABLE in the working directory and exits 1
 # when any workload fails.
 set -euo pipefail
@@ -47,8 +53,9 @@ RUN_SECONDS=$(jq -er .run_seconds "$spec")
 GATED=$(jq -c '[.end_to_end[].name]' "$spec")
 
 # One run of `bench` ($1) on workload $2, printed as one JSON object:
-# the run's result line, {"skipped": true} when the build does not know
-# the workload, or {"error": ...} when the run gave no result.
+# the run's result line with its pass count added as `passes`,
+# {"skipped": true} when the build does not know the workload, or
+# {"error": ...} when the run gave no result.
 run() {
   local status=0 out result err
   err=$(mktemp)
@@ -57,7 +64,7 @@ run() {
     echo '{"skipped": true}'
   elif [[ $status -eq 0 ]] &&
     result=$(tail -n 1 <<<"$out" | jq -ce 'select(has("correct"))' 2>/dev/null); then
-    echo "$result"
+    jq -c --argjson passes "$(grep -c "^$2 pass [0-9]*:" "$err")" '. + {passes: $passes}' <<<"$result"
   else
     jq -cn --arg e "exit status $status: $(tail -n 3 "$err")" '{error: $e}'
   fi
@@ -87,7 +94,7 @@ for workload in $(jq -r '.workloads[].name' "$spec"); do
       --argjson base "$base" --argjson head "$head" --argjson gated "$GATED" '
       def keep:
         if .error then . else
-          {correct, attempted, failed}
+          {correct, attempted, failed, passes}
           + ([$gated[] as $m | {key: $m, value: .metrics[$m].value}] | from_entries)
         end;
       {workload: $w, pair: $pair, first: $first, base: ($base | keep), head: ($head | keep)}' |
@@ -154,6 +161,8 @@ jq -r --arg table "$TABLE" '
      else
        (.metrics | to_entries[]
         | "\($w) \(.key): head/base \(.value.ratios | map(fmt) | join(" ")); median \(.value.median_ratio | fmt), lost \(.value.lost) of \(.value.ratios | length): \(.value.verdict)"),
+       (.pairs as $p
+        | "\($w) passes: base \([$p[].base.passes // "n/a" | tostring] | join(" ")); head \([$p[].head.passes // "n/a" | tostring] | join(" "))"),
        (.reasons[] | "\($w): FAIL: \(.)")
      end),
   "bench-ab: \(.verdict), pair table in \($table)"' "$TABLE"

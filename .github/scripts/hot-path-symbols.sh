@@ -47,6 +47,8 @@ HOOKS=(
   mellow_cpu::core_model::Core::stall
   mellow_cpu::core_model::Core::retire
   mellow_cpu::core_model::Core::dispatch
+  mellow_cpu::core_model::Core::walk_start
+  mellow_cpu::core_model::Core::index
   mellow_cpu::core_model::Core::retired_instructions
 )
 ANCHOR=mellow_sim::system::System::run_instructions

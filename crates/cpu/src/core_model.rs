@@ -111,6 +111,9 @@ enum Entry {
 /// A full ROB behind an outstanding miss costs one walk per event, not
 /// one per cycle: while the core's *issue license* is clear, no op wants
 /// issue, so the issue walk and [`stall`](Self::stall)'s scan are skipped.
+/// When they do run, they start at the oldest `Waiting` op, not at the
+/// ROB head: two cursors that only move forward keep the oldest waiting
+/// op and the oldest incomplete op.
 ///
 /// See the crate-level documentation for an end-to-end example.
 pub struct Core {
@@ -128,6 +131,16 @@ pub struct Core {
     /// op that is not `Done`), cleared only by an issue walk that reaches
     /// the ROB's end.
     issue_license: bool,
+    /// Entries popped from the ROB's front, so the absolute position of
+    /// `rob[0]`. The cursors below are absolute positions; one behind
+    /// this count stands for the head.
+    popped: u64,
+    /// No `Waiting` op sits before this position. An op never returns to
+    /// `Waiting` and new ops join at the tail, so it only moves forward.
+    waiting_at: u64,
+    /// No op that is not `Done` sits before this position (and it never
+    /// passes `waiting_at`); it only moves forward, like `waiting_at`.
+    incomplete_at: u64,
     next_id: u64,
     stats: CoreStats,
 }
@@ -163,6 +176,9 @@ impl Core {
             pending_nonmem: 0,
             pending_op: None,
             issue_license: false,
+            popped: 0,
+            waiting_at: 0,
+            incomplete_at: 0,
             next_id: 0,
             stats: CoreStats::default(),
         }
@@ -199,6 +215,7 @@ impl Core {
                     retired_any |= take > 0;
                     if *n == 0 {
                         self.rob.pop_front();
+                        self.popped += 1;
                     }
                 }
                 Some(Entry::Mem {
@@ -216,6 +233,7 @@ impl Core {
                         // An issued store leaving unblocks its dependents.
                         self.issue_license |= *state != MemState::Done;
                         self.rob.pop_front();
+                        self.popped += 1;
                         self.rob_insts -= 1;
                         self.stats.retired_instructions += 1;
                         budget -= 1;
@@ -286,16 +304,25 @@ impl Core {
     /// Issues waiting memory ops in ROB order, up to `mem_issue_width`
     /// and until the hierarchy rejects one. A walk that reaches the ROB's
     /// end clears the issue license; while it is clear, this returns at once.
+    ///
+    /// The walk starts at the waiting cursor, since no op before it
+    /// waits, and leaves the cursor on the first op it left waiting, or
+    /// where it stopped.
     fn issue_ready<F: FnMut(MemAccess) -> bool>(&mut self, mut issue: F) {
         if !self.issue_license {
             debug_assert!(!self.wants_issue(), "missed an issue-license event");
             return;
         }
+        let (start, incomplete) = self.walk_start();
+        self.incomplete_at = self.popped + incomplete as u64;
+        let mut earlier_incomplete = incomplete < start;
         let mut issued = 0;
-        let mut earlier_incomplete = false;
-        for entry in self.rob.iter_mut() {
+        let mut left_waiting = None;
+        let mut stopped = None;
+        for (i, entry) in (start..).zip(self.rob.range_mut(start..)) {
             if issued >= self.cfg.mem_issue_width {
-                return;
+                stopped = Some(i);
+                break;
             }
             if let Entry::Mem {
                 id,
@@ -305,24 +332,63 @@ impl Core {
                 state,
             } = entry
             {
-                if *state == MemState::Waiting && !(*depends && earlier_incomplete) {
-                    let accepted = issue(MemAccess {
+                if *state == MemState::Waiting {
+                    if *depends && earlier_incomplete {
+                        left_waiting.get_or_insert(i);
+                    } else if issue(MemAccess {
                         id: *id,
                         addr: *addr,
                         is_store: *is_store,
-                    });
-                    if accepted {
+                    }) {
                         *state = MemState::Issued;
                         issued += 1;
                     } else {
                         // The hierarchy is full; no point trying younger ops.
-                        return;
+                        stopped = Some(i);
+                        break;
                     }
                 }
                 earlier_incomplete |= *state != MemState::Done;
             }
         }
-        self.issue_license = false;
+        let end = stopped.unwrap_or(self.rob.len());
+        self.waiting_at = self.popped + left_waiting.unwrap_or(end) as u64;
+        self.issue_license = stopped.is_some();
+    }
+
+    /// Where the issue walk starts: the waiting cursor's ROB index, and
+    /// the index of the oldest incomplete op before it (the start itself
+    /// when there is none), found by advancing from the incomplete cursor.
+    #[inline]
+    fn walk_start(&self) -> (usize, usize) {
+        debug_assert!(self.cursors_hold(), "an op sits before its cursor");
+        let start = self.index(self.waiting_at);
+        let mut incomplete = self.index(self.incomplete_at);
+        while incomplete < start
+            && !matches!(self.rob[incomplete], Entry::Mem { state, .. } if state != MemState::Done)
+        {
+            incomplete += 1;
+        }
+        (start, incomplete)
+    }
+
+    /// The ROB index of absolute position `pos`; the head's for a
+    /// position already popped.
+    #[inline]
+    fn index(&self, pos: u64) -> usize {
+        pos.saturating_sub(self.popped) as usize
+    }
+
+    /// Whether both cursors hold: no `Waiting` op sits before the waiting
+    /// cursor, and no op that is not `Done` before the incomplete cursor.
+    fn cursors_hold(&self) -> bool {
+        let state = |e: &Entry| match e {
+            Entry::Mem { state, .. } => Some(*state),
+            Entry::NonMem(_) => None,
+        };
+        let before = |pos| self.rob.range(..self.index(pos)).map(state);
+        before(self.waiting_at).all(|s| s != Some(MemState::Waiting))
+            && before(self.incomplete_at).all(|s| matches!(s, None | Some(MemState::Done)))
     }
 
     /// Classifies the core's current state for the event kernel
@@ -330,7 +396,8 @@ impl Core {
     ///
     /// The classification is conservative: anything not provably a
     /// stable no-op reports `Active`. A blocked core is `Blocked` in O(1)
-    /// while the issue license is clear; otherwise the ROB is scanned.
+    /// while the issue license is clear; otherwise the ROB is scanned
+    /// from the waiting cursor, where the issue walk would start.
     #[inline]
     pub fn stall(&self) -> CoreStall {
         if self.rob_insts < self.cfg.rob_entries {
@@ -351,7 +418,8 @@ impl Core {
             debug_assert!(!self.wants_issue(), "missed an issue-license event");
             return CoreStall::Blocked;
         }
-        if self.wants_issue() {
+        let (start, incomplete) = self.walk_start();
+        if self.wants_issue_from(start, incomplete < start) {
             CoreStall::BlockedWantsIssue
         } else {
             CoreStall::Blocked
@@ -359,10 +427,16 @@ impl Core {
     }
 
     /// Whether some `Waiting` op would attempt issue this cycle: the
-    /// walk `issue_ready` makes, without issuing.
+    /// walk `issue_ready` makes, from the ROB head and without issuing.
+    /// It reads neither cursor, so the checks compare the cursors with it.
     fn wants_issue(&self) -> bool {
-        let mut earlier_incomplete = false;
-        for entry in &self.rob {
+        self.wants_issue_from(0, false)
+    }
+
+    /// [`wants_issue`](Self::wants_issue) from ROB index `start`, with
+    /// `earlier_incomplete` telling whether an op before it is not `Done`.
+    fn wants_issue_from(&self, start: usize, mut earlier_incomplete: bool) -> bool {
+        for entry in self.rob.range(start..) {
             if let Entry::Mem { depends, state, .. } = entry {
                 if *state == MemState::Waiting && !(*depends && earlier_incomplete) {
                     return true;
@@ -760,21 +834,26 @@ mod tests {
 
     /// License event `retire`: a store leaves the ROB once issued, which
     /// unblocks the dependent load behind it in the same tick although
-    /// nothing else is dispatched or completed.
+    /// nothing else is dispatched or completed. The incomplete cursor,
+    /// left on the store, moves past it.
     #[test]
     fn retiring_an_issued_store_unblocks_its_dependent_load() {
         let trace = scripted(&[(0, MemOp::store(64)), (0, MemOp::load(128).dependent())]);
         let mut core = Core::new(CoreConfig::default(), trace);
         // The store issues; the load behind it waits on it.
         assert_eq!(tick_accepting(&mut core), [ReqId(0)]);
+        assert_eq!((core.incomplete_at, core.waiting_at), (0, 1));
         let dispatched = (core.stats().loads, core.stats().stores);
         assert_eq!(tick_accepting(&mut core), [ReqId(1)]);
         assert_eq!((core.stats().loads, core.stats().stores), dispatched);
         assert_eq!(core.retired_instructions(), 1, "only the store retired");
+        assert_eq!((core.popped, core.incomplete_at), (1, 1));
     }
 
     /// License event `complete`: completing a load that is not at the
-    /// ROB head unblocks the dependent load behind it.
+    /// ROB head unblocks the dependent load behind it. Until then that
+    /// load sits at the waiting cursor, and the incomplete cursor stops
+    /// at the load it depends on although that load is not the head.
     #[test]
     fn completing_a_non_head_load_unblocks_its_dependent_load() {
         // An outstanding head load holds back 64 non-memory instructions,
@@ -795,6 +874,9 @@ mod tests {
         core.complete(ReqId(0));
         assert_eq!(tick_accepting(&mut core), []);
         assert!(matches!(core.rob.front(), Some(Entry::NonMem(_))));
+        // Positions: the head load, the run, the independent load, the
+        // dependent one.
+        assert_eq!((core.incomplete_at, core.waiting_at), (2, 3));
         core.complete(ReqId(1));
         assert_eq!(tick_accepting(&mut core), [ReqId(2)]);
         assert!(matches!(core.rob.front(), Some(Entry::NonMem(_))));
@@ -820,12 +902,53 @@ mod tests {
         assert_eq!(core.stats().loads, 4);
     }
 
+    /// A rejected access leaves the waiting cursor on its op, so the next
+    /// walk offers that op again.
+    #[test]
+    fn a_reject_leaves_the_waiting_cursor_on_the_rejected_op() {
+        let trace = scripted(&[
+            (0, MemOp::load(64)),
+            (0, MemOp::load(128)),
+            (0, MemOp::load(192)),
+        ]);
+        let cfg = CoreConfig {
+            mem_issue_width: 3,
+            ..CoreConfig::default()
+        };
+        let mut core = Core::new(cfg, trace);
+        let mut offered = Vec::new();
+        core.tick(|a| {
+            offered.push(a.id);
+            a.id == ReqId(0)
+        });
+        assert_eq!(offered, [ReqId(0), ReqId(1)]);
+        assert_eq!(core.waiting_at, 1);
+        assert_eq!(tick_accepting(&mut core), [ReqId(1), ReqId(2)]);
+    }
+
+    /// A walk stopped at `mem_issue_width` leaves the waiting cursor on
+    /// the first op it did not reach.
+    #[test]
+    fn a_walk_stopped_at_the_issue_width_leaves_the_cursor_on_the_next_op() {
+        let trace = scripted(&[
+            (0, MemOp::load(64)),
+            (0, MemOp::load(128)),
+            (0, MemOp::load(192)),
+        ]);
+        let mut core = Core::new(CoreConfig::default(), trace);
+        assert_eq!(tick_accepting(&mut core), [ReqId(0), ReqId(1)]);
+        assert_eq!(core.waiting_at, 2);
+        assert_eq!(tick_accepting(&mut core), [ReqId(2)]);
+    }
+
     /// The issue license against the reference scan, on random records
     /// (dependent and independent loads and stores behind random
     /// non-memory runs), random rejects and completions in random order,
     /// on three core shapes. After every tick and after every batch of
-    /// completions, a clear license means no op would attempt issue, and
-    /// `stall()` equals the scan's classification.
+    /// completions, a clear license means no op would attempt issue, no
+    /// op sits before its cursor, the scan from the cursors answers as
+    /// the scan from the head, and `stall()` equals the scan's
+    /// classification.
     #[test]
     fn issue_license_matches_rob_scan() {
         let configs = [(8, 192, 2), (4, 32, 1), (2, 8, 3)];
@@ -853,7 +976,17 @@ mod tests {
             };
             let mut core = Core::new(cfg, Box::new(Cycle::new(records)));
             let check = |core: &Core, cycle: u32| {
+                assert!(
+                    core.cursors_hold(),
+                    "seed {seed}, cycle {cycle}: an op sits before its cursor"
+                );
                 let wants = core.wants_issue();
+                let (start, incomplete) = core.walk_start();
+                assert_eq!(
+                    core.wants_issue_from(start, incomplete < start),
+                    wants,
+                    "seed {seed}, cycle {cycle}: the cursors' scan differs from the head's"
+                );
                 assert!(
                     core.issue_license || !wants,
                     "seed {seed}, cycle {cycle}: license clear, yet an op wants issue"

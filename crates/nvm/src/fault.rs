@@ -21,9 +21,11 @@
 //! without this module — the additivity guarantee the equivalence
 //! oracles assert.
 
+use crate::block_hash::BlockHasher;
 use crate::EnduranceModel;
 use mellow_engine::DetRng;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Stream ids for [`DetRng::derive`], so fault draws never perturb any
 /// other component's sequence.
@@ -130,8 +132,8 @@ struct BankFaults {
     /// Touched blocks only, keyed by physical block index. Accessed
     /// strictly by key (never iterated) so hash order cannot leak into
     /// simulated behaviour; the aggregate counters below are maintained
-    /// incrementally instead.
-    blocks: HashMap<u64, BlockFault>,
+    /// incrementally instead. The fixed hasher costs one multiply.
+    blocks: HashMap<u64, BlockFault, BuildHasherDefault<BlockHasher>>,
     spares_remaining: u64,
     lost: u64,
 }
@@ -178,7 +180,7 @@ impl FaultState {
             spares_per_bank,
             banks: vec![
                 BankFaults {
-                    blocks: HashMap::new(),
+                    blocks: HashMap::default(),
                     spares_remaining: spares_per_bank,
                     lost: 0,
                 };

@@ -48,6 +48,7 @@
 //! assert!((model.wear_per_write(3.0) - 1.0 / 9.0).abs() < 1e-12);
 //! ```
 
+mod block_hash;
 mod endurance;
 pub mod energy;
 pub mod fault;

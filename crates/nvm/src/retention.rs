@@ -31,8 +31,10 @@
 //! [`RetentionConfig::disabled`] (the default) configuration constructs
 //! no state at all — the additivity guarantee.
 
+use crate::block_hash::BlockHasher;
 use mellow_engine::{DetRng, Duration, SimTime};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Stream id for [`DetRng::derive`], disjoint from the fault layer's
 /// streams so retention draws never perturb any other sequence.
@@ -153,8 +155,8 @@ pub struct RetentionState {
     blocks_per_bank: u64,
     /// Touched blocks only, keyed by logical block index. Accessed
     /// strictly by key (never iterated) so hash order cannot leak into
-    /// simulated behaviour.
-    banks: Vec<HashMap<u64, BlockRetention>>,
+    /// simulated behaviour. The fixed hasher costs one multiply.
+    banks: Vec<HashMap<u64, BlockRetention, BuildHasherDefault<BlockHasher>>>,
     /// Root of the per-block deadline streams (never advanced;
     /// children are derived per `(bank, block, generation)`).
     deadline_root: DetRng,
@@ -175,7 +177,7 @@ impl RetentionState {
         RetentionState {
             cfg,
             blocks_per_bank,
-            banks: vec![HashMap::new(); banks],
+            banks: vec![HashMap::default(); banks],
             // `derive` never advances its parent, so the root is pinned
             // to the seed exactly like the fault layer's limit stream.
             deadline_root: DetRng::seed_from(cfg.seed).derive(STREAM_DEADLINE),
