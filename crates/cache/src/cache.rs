@@ -171,11 +171,6 @@ struct Timed {
     msg: Incoming,
 }
 
-#[derive(Debug)]
-struct EagerState {
-    monitor: UtilityMonitor,
-}
-
 /// A timed cache level.
 ///
 /// The level is a passive component: the owner calls
@@ -227,7 +222,8 @@ pub struct Cache {
     fills_up: VecDeque<u64>,
     miss_down: VecDeque<u64>,
     wb_down: VecDeque<u64>,
-    eager: Option<EagerState>,
+    /// The Eager Mellow Writes utility monitor, on the LLC only.
+    monitor: Option<UtilityMonitor>,
     stats: CacheStats,
 }
 
@@ -251,7 +247,7 @@ impl Cache {
             fills_up: VecDeque::new(),
             miss_down: VecDeque::new(),
             wb_down: VecDeque::new(),
-            eager: None,
+            monitor: None,
             stats: CacheStats::default(),
             cfg,
         }
@@ -260,9 +256,7 @@ impl Cache {
     /// Attaches the Eager Mellow Writes utility monitor (normally only on
     /// the LLC).
     pub fn enable_eager(&mut self) {
-        self.eager = Some(EagerState {
-            monitor: UtilityMonitor::new(self.cfg.assoc),
-        });
+        self.monitor = Some(UtilityMonitor::new(self.cfg.assoc));
         // A fresh monitor has no useless position yet.
         self.store.set_eager_position(self.cfg.assoc);
     }
@@ -528,8 +522,8 @@ impl Cache {
     fn process_demand(&mut self, id: Option<AccessId>, line: u64, is_store: bool) -> bool {
         let (set_idx, tag) = self.set_and_tag(line);
         if let Some(pos) = self.store.probe(set_idx, tag) {
-            if let Some(e) = &mut self.eager {
-                e.monitor.record_hit(pos);
+            if let Some(monitor) = &mut self.monitor {
+                monitor.record_hit(pos);
             }
             self.store.touch(set_idx, pos);
             if is_store {
@@ -550,8 +544,8 @@ impl Cache {
                 None => entry.from_above = true,
             }
             entry.any_store |= is_store;
-            if let Some(e) = &mut self.eager {
-                e.monitor.record_miss();
+            if let Some(monitor) = &mut self.monitor {
+                monitor.record_miss();
             }
             self.stats.demand_misses += 1;
             self.stats.mshr_merges += 1;
@@ -566,8 +560,8 @@ impl Cache {
             None => entry.from_above = true,
         }
         entry.any_store |= is_store;
-        if let Some(e) = &mut self.eager {
-            e.monitor.record_miss();
+        if let Some(monitor) = &mut self.monitor {
+            monitor.record_miss();
         }
         self.stats.demand_misses += 1;
         self.stats.fetches_down += 1;
@@ -579,13 +573,13 @@ impl Cache {
         self.stats.writebacks_in += 1;
         let (set_idx, tag) = self.set_and_tag(line);
         if let Some(pos) = self.store.probe(set_idx, tag) {
-            if let Some(e) = &mut self.eager {
-                e.monitor.record_hit(pos);
+            if let Some(monitor) = &mut self.monitor {
+                monitor.record_hit(pos);
             }
             self.store.touch(set_idx, pos);
         } else {
-            if let Some(e) = &mut self.eager {
-                e.monitor.record_miss();
+            if let Some(monitor) = &mut self.monitor {
+                monitor.record_miss();
             }
             // A full-line writeback installs without fetching.
             self.install(line);
@@ -641,7 +635,7 @@ impl Cache {
     /// Returns the new eager position, or `None` when the monitor is not
     /// enabled.
     pub fn sample_utility(&mut self) -> Option<usize> {
-        let floor = self.eager.as_mut()?.monitor.sample();
+        let floor = self.monitor.as_mut()?.sample();
         self.store.set_eager_position(floor);
         Some(floor)
     }

@@ -50,9 +50,10 @@ pub enum WriteDecision {
 
 /// Decides what write (if any) to issue to a bank, per Figure 9.
 ///
-/// The caller has already established that a write *may* be issued (reads
-/// have priority outside of drains; that arbitration lives in the memory
-/// controller). The tree is:
+/// The caller has already established that a write *may* be issued: reads
+/// have priority, and during a write drain, which moves only demand
+/// writes, the caller declines an eager decision. That arbitration lives
+/// in the memory controller. The tree is:
 ///
 /// 1. A demand write is pending:
 ///    - single request for this bank (no other reads/writes) and the
@@ -76,7 +77,22 @@ pub enum WriteDecision {
 /// ```
 pub fn decide_write(policy: &WritePolicy, view: BankQueueView) -> WriteDecision {
     if view.writes_waiting > 0 {
-        let speed = demand_speed(policy, view);
+        let speed = if view.quota_exceeded {
+            WriteSpeed::Slow
+        } else if policy.base.bank_aware() {
+            // Slow iff this is the bank's only queued operation: exactly
+            // one write and no reads (§IV-A, Figs. 4 & 5).
+            if view.writes_waiting == 1 && view.reads_waiting == 0 {
+                WriteSpeed::Slow
+            } else {
+                WriteSpeed::Normal
+            }
+        } else {
+            policy
+                .base
+                .static_speed()
+                .expect("non-bank-aware base policies have a static speed")
+        };
         return WriteDecision::Demand(speed);
     }
     if view.eager_waiting > 0 && view.reads_waiting == 0 {
@@ -88,28 +104,6 @@ pub fn decide_write(policy: &WritePolicy, view: BankQueueView) -> WriteDecision 
         return WriteDecision::Eager(speed);
     }
     WriteDecision::Idle
-}
-
-/// The speed for a demand write under `policy` given `view`; factored out
-/// so the controller can also query it when draining.
-pub fn demand_speed(policy: &WritePolicy, view: BankQueueView) -> WriteSpeed {
-    if view.quota_exceeded {
-        return WriteSpeed::Slow;
-    }
-    if policy.base.bank_aware() {
-        // Slow iff this is the bank's only queued operation: exactly one
-        // write and no reads (§IV-A, Figs. 4 & 5).
-        if view.writes_waiting == 1 && view.reads_waiting == 0 {
-            WriteSpeed::Slow
-        } else {
-            WriteSpeed::Normal
-        }
-    } else {
-        policy
-            .base
-            .static_speed()
-            .expect("non-bank-aware base policies have a static speed")
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ mod monitor;
 mod policy;
 mod quota;
 
-pub use decision::{decide_write, demand_speed, BankQueueView, WriteDecision};
+pub use decision::{decide_write, BankQueueView, WriteDecision};
 pub use monitor::UtilityMonitor;
 pub use policy::{BasePolicy, WritePolicy, WriteSpeed, DEFAULT_SLOW_FACTOR};
 pub use quota::{WearQuota, WearQuotaConfig};

@@ -941,39 +941,58 @@ mod tests {
         assert_eq!(tick_accepting(&mut core), [ReqId(2)]);
     }
 
-    /// The issue license against the reference scan, on random records
-    /// (dependent and independent loads and stores behind random
-    /// non-memory runs), random rejects and completions in random order,
-    /// on three core shapes. After every tick and after every batch of
-    /// completions, a clear license means no op would attempt issue, no
-    /// op sits before its cursor, the scan from the cursors answers as
-    /// the scan from the head, and `stall()` equals the scan's
-    /// classification.
+    /// The core shapes of the random checks, each with its seed: issue
+    /// width, ROB entries and memory issue width.
+    const SHAPES: [CoreConfig; 3] = [
+        CoreConfig {
+            issue_width: 8,
+            rob_entries: 192,
+            mem_issue_width: 2,
+        },
+        CoreConfig {
+            issue_width: 4,
+            rob_entries: 32,
+            mem_issue_width: 1,
+        },
+        CoreConfig {
+            issue_width: 2,
+            rob_entries: 8,
+            mem_issue_width: 3,
+        },
+    ];
+
+    /// 64 random records: dependent and independent loads and stores
+    /// behind random non-memory runs.
+    fn random_records(rng: &mut proptest::TestRng) -> Vec<TraceRecord> {
+        (0..64)
+            .map(|_| {
+                let addr = 64 * rng.below(1 << 12);
+                let op = match rng.below(5) {
+                    0 => None,
+                    1 | 2 => Some(MemOp::load(addr)),
+                    _ => Some(MemOp::store(addr)),
+                };
+                let depends = rng.below(2) == 0;
+                TraceRecord {
+                    nonmem: rng.below(24) as u32,
+                    op: op.map(|o| if depends { o.dependent() } else { o }),
+                }
+            })
+            .collect()
+    }
+
+    /// The issue license against the reference scan, on random records,
+    /// random rejects and completions in random order, on three core
+    /// shapes. After every tick and after every batch of completions, a
+    /// clear license means no op would attempt issue, no op sits before
+    /// its cursor, the scan from the cursors answers as the scan from the
+    /// head, and `stall()` equals the scan's classification.
     #[test]
     fn issue_license_matches_rob_scan() {
-        let configs = [(8, 192, 2), (4, 32, 1), (2, 8, 3)];
-        for (seed, (issue_width, rob_entries, mem_issue_width)) in configs.into_iter().enumerate() {
+        for (seed, cfg) in SHAPES.into_iter().enumerate() {
             let mut rng = proptest::TestRng::seed_from(seed as u64);
-            let records = (0..64)
-                .map(|_| {
-                    let addr = 64 * rng.below(1 << 12);
-                    let op = match rng.below(5) {
-                        0 => None,
-                        1 | 2 => Some(MemOp::load(addr)),
-                        _ => Some(MemOp::store(addr)),
-                    };
-                    let depends = rng.below(2) == 0;
-                    TraceRecord {
-                        nonmem: rng.below(24) as u32,
-                        op: op.map(|o| if depends { o.dependent() } else { o }),
-                    }
-                })
-                .collect();
-            let cfg = CoreConfig {
-                issue_width,
-                rob_entries,
-                mem_issue_width,
-            };
+            let records = random_records(&mut rng);
+            let rob_entries = cfg.rob_entries;
             let mut core = Core::new(cfg, Box::new(Cycle::new(records)));
             let check = |core: &Core, cycle: u32| {
                 assert!(
@@ -1019,6 +1038,214 @@ mod tests {
                     }
                 }
                 check(&core, cycle);
+            }
+        }
+    }
+
+    /// A reference core that walks its ROB from the head on every issue
+    /// and every `stall()`, with no license and no cursors. Retire and
+    /// dispatch follow `Core`'s rules.
+    struct HeadWalker {
+        cfg: CoreConfig,
+        trace: Cycle,
+        rob: VecDeque<Entry>,
+        rob_insts: u32,
+        pending_nonmem: u32,
+        pending_op: Option<MemOp>,
+        next_id: u64,
+    }
+
+    impl HeadWalker {
+        fn new(cfg: CoreConfig, records: Vec<TraceRecord>) -> Self {
+            HeadWalker {
+                cfg,
+                trace: Cycle::new(records),
+                rob: VecDeque::new(),
+                rob_insts: 0,
+                pending_nonmem: 0,
+                pending_op: None,
+                next_id: 0,
+            }
+        }
+
+        fn tick(&mut self, issue: impl FnMut(MemAccess) -> bool) {
+            // Retire: runs, done loads and issued stores, in order.
+            let mut budget = self.cfg.issue_width;
+            while budget > 0 {
+                match self.rob.front_mut() {
+                    Some(Entry::NonMem(n)) => {
+                        let take = (*n).min(budget);
+                        *n -= take;
+                        budget -= take;
+                        self.rob_insts -= take;
+                        if *n == 0 {
+                            self.rob.pop_front();
+                        }
+                    }
+                    Some(Entry::Mem {
+                        is_store, state, ..
+                    }) if *state == MemState::Done || (*is_store && *state == MemState::Issued) => {
+                        self.rob.pop_front();
+                        self.rob_insts -= 1;
+                        budget -= 1;
+                    }
+                    _ => break,
+                }
+            }
+            // Dispatch: each record's run, then its op, while the ROB
+            // and the width allow.
+            let mut budget = self.cfg.issue_width;
+            while budget > 0 && self.rob_insts < self.cfg.rob_entries {
+                if self.pending_nonmem == 0 && self.pending_op.is_none() {
+                    let record = self.trace.next_record();
+                    (self.pending_nonmem, self.pending_op) = (record.nonmem, record.op);
+                    continue;
+                }
+                if self.pending_nonmem > 0 {
+                    let room = self.cfg.rob_entries - self.rob_insts;
+                    let take = self.pending_nonmem.min(budget).min(room);
+                    self.pending_nonmem -= take;
+                    self.rob_insts += take;
+                    budget -= take;
+                    match self.rob.back_mut() {
+                        Some(Entry::NonMem(n)) => *n += take,
+                        _ => self.rob.push_back(Entry::NonMem(take)),
+                    }
+                } else if let Some(op) = self.pending_op.take() {
+                    self.rob.push_back(Entry::Mem {
+                        id: ReqId(self.next_id),
+                        addr: op.addr,
+                        is_store: op.is_store,
+                        depends: op.depends_on_prev,
+                        state: MemState::Waiting,
+                    });
+                    self.next_id += 1;
+                    self.rob_insts += 1;
+                    budget -= 1;
+                }
+            }
+            self.issue_from_head(issue);
+        }
+
+        /// Offers every waiting op not held back by an earlier incomplete
+        /// one, from the head, up to the memory issue width and the first
+        /// reject.
+        fn issue_from_head(&mut self, mut issue: impl FnMut(MemAccess) -> bool) {
+            let mut issued = 0;
+            let mut earlier_incomplete = false;
+            for entry in &mut self.rob {
+                if issued == self.cfg.mem_issue_width {
+                    break;
+                }
+                if let Entry::Mem {
+                    id,
+                    addr,
+                    is_store,
+                    depends,
+                    state,
+                } = entry
+                {
+                    if *state == MemState::Waiting && !(*depends && earlier_incomplete) {
+                        let access = MemAccess {
+                            id: *id,
+                            addr: *addr,
+                            is_store: *is_store,
+                        };
+                        if !issue(access) {
+                            break;
+                        }
+                        *state = MemState::Issued;
+                        issued += 1;
+                    }
+                    earlier_incomplete |= *state != MemState::Done;
+                }
+            }
+        }
+
+        fn complete(&mut self, id: ReqId) {
+            for entry in &mut self.rob {
+                if let Entry::Mem { id: eid, state, .. } = entry {
+                    if *eid == id {
+                        *state = MemState::Done;
+                    }
+                }
+            }
+        }
+
+        fn stall(&mut self) -> CoreStall {
+            let head_waits = matches!(
+                self.rob.front(),
+                Some(Entry::Mem { is_store: false, state, .. }) if *state != MemState::Done
+            );
+            if self.rob_insts < self.cfg.rob_entries || !head_waits {
+                return CoreStall::Active;
+            }
+            // A walk whose first offer is rejected changes nothing.
+            let mut wants_issue = false;
+            self.issue_from_head(|_| {
+                wants_issue = true;
+                false
+            });
+            if wants_issue {
+                CoreStall::BlockedWantsIssue
+            } else {
+                CoreStall::Blocked
+            }
+        }
+    }
+
+    /// `Core` against the head-walking reference, driven by the random
+    /// records, rejects and completions of `issue_license_matches_rob_scan`
+    /// on its three shapes: every tick both offer the same accesses in
+    /// the same order, and after every tick and every batch of
+    /// completions both classify `stall()` alike.
+    #[test]
+    fn core_offers_what_a_head_walking_core_offers() {
+        for (seed, cfg) in SHAPES.into_iter().enumerate() {
+            let mut rng = proptest::TestRng::seed_from(seed as u64);
+            let records = random_records(&mut rng);
+            let mut core = Core::new(cfg, Box::new(Cycle::new(records.clone())));
+            let mut reference = HeadWalker::new(cfg, records);
+            let mut in_flight: Vec<ReqId> = Vec::new();
+            for cycle in 0..20_000 {
+                let mut offered = Vec::new();
+                core.tick(|a| {
+                    let accepted = rng.below(4) != 0;
+                    if accepted {
+                        in_flight.push(a.id);
+                    }
+                    offered.push((a, accepted));
+                    accepted
+                });
+                // The reference sees the same answers, offer by offer.
+                let mut answers = offered.iter().map(|&(_, accepted)| accepted);
+                let mut reference_offered = Vec::new();
+                reference.tick(|a| {
+                    reference_offered.push(a);
+                    answers.next().unwrap_or(false)
+                });
+                let core_offered: Vec<MemAccess> = offered.iter().map(|&(a, _)| a).collect();
+                assert_eq!(
+                    core_offered, reference_offered,
+                    "seed {seed}, cycle {cycle}"
+                );
+                assert_eq!(
+                    core.stall(),
+                    reference.stall(),
+                    "seed {seed}, cycle {cycle}"
+                );
+                for _ in 0..rng.below(3) {
+                    if !in_flight.is_empty() {
+                        let id = in_flight.swap_remove(rng.below(in_flight.len() as u64) as usize);
+                        core.complete(id);
+                        reference.complete(id);
+                    }
+                }
+                assert_eq!(
+                    core.stall(),
+                    reference.stall(),
+                    "seed {seed}, cycle {cycle}"
+                );
             }
         }
     }

@@ -3,12 +3,11 @@
 //! Mellow Writes issue logic. Verify, drift detection and scrub live in
 //! the `reliability` module, which the scheduler calls into.
 
-use crate::queues::{banks_in, due_mask, QueuedReq, ReadPick, RequestQueues};
+use crate::queues::{banks_in, due_mask, OpKind, QueuedReq, ReadPick, RequestQueues};
 use crate::reliability::{Reliability, Verified};
-use crate::{FaultStats, LineMapping, MemConfig, RetentionStats, ScrubStats};
+use crate::{FaultStats, MemConfig, RetentionStats, ScrubStats};
 use mellow_core::{
-    decide_write, demand_speed, BankQueueView, WearQuota, WearQuotaConfig, WriteDecision,
-    WritePolicy, WriteSpeed,
+    decide_write, BankQueueView, WearQuota, WearQuotaConfig, WriteDecision, WritePolicy, WriteSpeed,
 };
 use mellow_engine::stats::{BusyTracker, Histogram};
 use mellow_engine::{Duration, MemCycles, SimTime, TimerQueue};
@@ -100,50 +99,28 @@ impl CtrlStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Read,
-    DemandWrite,
-    EagerWrite,
-}
-
+/// A request at its bank: the queued request, whose `remaining` is the
+/// fraction of the pulse outstanding when this segment started, plus
+/// what issue decided.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
-    kind: OpKind,
-    line: u64,
-    mapping: LineMapping,
+    req: QueuedReq,
+    /// A write's pulse; `None` for a read.
+    pulse: Option<Pulse>,
+    /// When the bank is done: a read's data is back, a pulse has ended.
+    end: SimTime,
+}
+
+/// What issue decided for a write.
+#[derive(Debug, Clone, Copy)]
+struct Pulse {
+    /// The Figure 9 speed, which decides whether the write is cancellable.
     speed: WriteSpeed,
     /// Actual latency factor driven (1.0 normal; the policy's slow
     /// factor, or a graded level under `+GR`).
     factor: f64,
-    cancels: u32,
-    /// Verify-retry attempts this write has already consumed (fault
-    /// layer); carried from the queue entry so cancels preserve it.
-    retries: u32,
-    /// Whether this write is a retention-repair rewrite (scrub or
-    /// demand-read detected); see [`QueuedReq::repair`].
-    repair: bool,
-    enq: SimTime,
-    /// Fraction of the pulse outstanding when this segment started.
-    remaining_at_start: f64,
-    /// When the write pulse begins (after the bus transfer).
-    pulse_start: SimTime,
-    end: SimTime,
-}
-
-impl InFlight {
-    /// The queue entry that drives this write again, keeping its age,
-    /// verify-retry count and repair flag.
-    fn requeue(&self, data_resident: bool, cancels: u32, remaining: f64) -> QueuedReq {
-        QueuedReq {
-            data_resident,
-            cancels,
-            remaining,
-            retries: self.retries,
-            repair: self.repair,
-            ..QueuedReq::new(self.line, self.mapping, self.enq)
-        }
-    }
+    /// When the pulse begins (after the bus transfer).
+    start: SimTime,
 }
 
 /// Per-bank state in struct-of-arrays layout. The only sweep across
@@ -233,8 +210,6 @@ impl Banks {
 pub struct Controller {
     cfg: MemConfig,
     policy: WritePolicy,
-    endurance: EnduranceModel,
-    cancel_wear: CancelWear,
     queues: RequestQueues,
     banks: Banks,
     /// Recent activation times per rank, for tFAW.
@@ -317,8 +292,6 @@ impl Controller {
             rr_start: 0,
             next_actionable: SimTime::ZERO,
             policy,
-            endurance,
-            cancel_wear,
             cfg,
         }
     }
@@ -333,8 +306,7 @@ impl Controller {
             self.ledger.total_wear() == 0.0,
             "enable block tracking before simulating"
         );
-        self.ledger = WearLedger::new(self.cfg.num_banks, self.endurance, self.cancel_wear)
-            .with_block_tracking(blocks);
+        self.ledger = self.ledger.clone().with_block_tracking(blocks);
     }
 
     /// Returns the configuration.
@@ -364,7 +336,7 @@ impl Controller {
 
     /// Whether a demand/eager write for `line` is in flight at `bank`.
     fn write_in_flight_at(&self, line: u64, bank: usize) -> bool {
-        self.banks.in_flight[bank].is_some_and(|op| op.line == line && op.kind != OpKind::Read)
+        self.banks.in_flight[bank].is_some_and(|op| op.req.line == line && op.pulse.is_some())
     }
 
     /// Whether a write for `line` (which maps to `bank`) is still
@@ -403,11 +375,12 @@ impl Controller {
             self.next_actionable = SimTime::ZERO;
             return true;
         }
-        if self.queues.read_len() >= self.cfg.read_queue_cap {
+        if self.queues.read.len() >= self.cfg.read_queue_cap {
             self.stats.read_rejects += 1;
             return false;
         }
-        self.queues.push_read(QueuedReq::new(line, mapping, now));
+        self.queues
+            .push(QueuedReq::new(OpKind::Read, line, mapping, now));
         self.stats.reads_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         true
@@ -416,12 +389,13 @@ impl Controller {
     /// Offers a demand write (LLC dirty eviction) for `line`. Returns
     /// `false` when the write queue is full.
     pub fn try_write(&mut self, line: u64, now: SimTime) -> bool {
-        if self.queues.write_len() >= self.cfg.write_queue_cap {
+        if self.queues.write.len() >= self.cfg.write_queue_cap {
             self.stats.write_rejects += 1;
             return false;
         }
+        let mapping = self.cfg.map_line(line);
         self.queues
-            .push_write(QueuedReq::new(line, self.cfg.map_line(line), now));
+            .push(QueuedReq::new(OpKind::DemandWrite, line, mapping, now));
         self.stats.demand_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         true
@@ -431,7 +405,7 @@ impl Controller {
     /// entry (the LLC checks before probing for a candidate).
     #[inline]
     pub fn eager_has_room(&self) -> bool {
-        self.queues.eager_len() < self.cfg.eager_queue_cap
+        self.queues.eager.len() < self.cfg.eager_queue_cap
     }
 
     /// Offers an eager writeback for `line`.
@@ -443,8 +417,9 @@ impl Controller {
     /// has already marked the line clean by the time it calls this.
     pub fn try_eager(&mut self, line: u64, now: SimTime) {
         assert!(self.eager_has_room(), "eager queue overflow");
+        let mapping = self.cfg.map_line(line);
         self.queues
-            .push_eager(QueuedReq::new(line, self.cfg.map_line(line), now));
+            .push(QueuedReq::new(OpKind::EagerWrite, line, mapping, now));
         self.stats.eager_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
     }
@@ -550,7 +525,7 @@ impl Controller {
         if tfaw_blocked {
             return SimTime::ZERO;
         }
-        let wq = self.queues.write_len();
+        let wq = self.queues.write.len();
         let transition_pending = if self.draining {
             wq <= self.cfg.drain_low
         } else {
@@ -588,10 +563,11 @@ impl Controller {
     /// no read ahead of it; OR-ed with the read check this collapses to
     /// plain queue occupancy, so no policy evaluation is needed here.
     fn startable_mask(&self) -> u64 {
+        let q = &self.queues;
         if self.draining {
-            self.queues.write_mask()
+            q.write.mask()
         } else {
-            self.queues.read_mask() | self.queues.write_mask() | self.queues.eager_mask()
+            q.read.mask() | q.write.mask() | q.eager.mask()
         }
     }
 
@@ -607,33 +583,32 @@ impl Controller {
 
     fn process_completions(&mut self, now: SimTime) {
         while let Some(bank_idx) = self.completions.pop_due(now) {
-            let op = self.banks.in_flight[bank_idx]
+            let InFlight { req, pulse, end } = self.banks.in_flight[bank_idx]
                 .take()
                 .expect("a scheduled bank holds its op");
-            match op.kind {
-                OpKind::Read => {
-                    self.read_done.push_back(op.line);
+            match pulse {
+                Some(pulse) => self.complete_write(bank_idx, req, pulse.factor, end),
+                None => {
+                    self.read_done.push_back(req.line);
                     self.stats
                         .read_latency_ns
-                        .record(op.end.saturating_since(op.enq).as_ns());
+                        .record(end.saturating_since(req.enq).as_ns());
                     // The data itself is recovered through ECC; what
                     // must be repaired is the array copy.
-                    if self.repair_if_expired(op.line, bank_idx, op.mapping.block, op.end) {
+                    if self.repair_if_expired(req.line, bank_idx, req.mapping.block, end) {
                         self.reliability.demand_detected();
                     }
-                }
-                OpKind::DemandWrite | OpKind::EagerWrite => {
-                    self.complete_write(bank_idx, op);
                 }
             }
         }
     }
 
-    fn complete_write(&mut self, bank_idx: usize, op: InFlight) {
+    /// Completes a write pulse of latency `factor` that ended at `end`.
+    fn complete_write(&mut self, bank_idx: usize, req: QueuedReq, factor: f64, end: SimTime) {
         // The pulse drove the cells whether or not it verifies: wear and
         // energy accrue before the verify step.
-        let factor = op.factor;
-        let phys = self.leveler.remap(bank_idx, op.mapping.block);
+        let block = req.mapping.block;
+        let phys = self.leveler.remap(bank_idx, block);
         self.ledger.record_write(bank_idx, Some(phys), factor);
         // Graded factors between 1x and 3x are charged slow-write
         // energy (a conservative overestimate; Table VI only
@@ -646,45 +621,43 @@ impl Controller {
         // A retry's data is still latched at the bank, so it skips the
         // bus transfer, and the write stays pending — reads keep
         // forwarding from it.
-        let retry = op.requeue(true, op.cancels, 1.0);
-        match self.reliability.verify_write(
-            retry,
-            op.mapping.block,
-            phys,
-            factor,
-            op.end,
-            &mut *self.leveler,
-        ) {
+        let retry = QueuedReq {
+            data_resident: true,
+            remaining: 1.0,
+            ..req
+        };
+        match self
+            .reliability
+            .verify_write(retry, phys, factor, end, &mut *self.leveler)
+        {
             Verified::Clean => {}
-            Verified::Retry(req) => {
+            Verified::Retry(retry) => {
                 // No completion counter and no leveling progress: the
                 // data never landed, so there is nothing leveled to
                 // rotate.
-                self.queues
-                    .requeue_front(req, op.kind == OpKind::EagerWrite);
+                self.queues.requeue_front(retry);
                 return;
             }
             Verified::Absorbed => return,
         }
         let mut moved = Vec::new();
-        self.leveler
-            .note_write(bank_idx, op.mapping.block, &mut moved);
+        self.leveler.note_write(bank_idx, block, &mut moved);
         for m in moved {
             self.ledger.record_leveling_write(bank_idx, Some(m));
         }
         self.reliability
-            .restamp(bank_idx, op.mapping.block, phys, op.end, factor, op.repair);
+            .restamp(bank_idx, block, phys, end, factor, req.repair);
         // Repair rewrites refresh data the host already owns: they drive
         // the cells (wear, energy, leveling above) but count as repairs
         // (in `restamp`), not demand/eager completions.
-        if !op.repair {
+        if !req.repair {
             if factor > 1.0 {
                 self.stats.writes_completed_slow += 1;
             } else {
                 self.stats.writes_completed_normal += 1;
             }
         }
-        if op.kind == OpKind::EagerWrite {
+        if req.kind == OpKind::EagerWrite {
             self.stats.eager_completed += 1;
         }
     }
@@ -719,10 +692,10 @@ impl Controller {
         if !self.reliability.expired(bank, block, at) || self.has_pending_write(line, bank) {
             return false;
         }
-        self.queues.push_write(QueuedReq {
+        self.queues.push(QueuedReq {
             data_resident: true,
             repair: true,
-            ..QueuedReq::new(line, self.cfg.map_line(line), at)
+            ..QueuedReq::new(OpKind::DemandWrite, line, self.cfg.map_line(line), at)
         });
         true
     }
@@ -740,11 +713,11 @@ impl Controller {
     }
 
     fn update_drain_state(&mut self, now: SimTime) {
-        if !self.draining && self.queues.write_len() >= self.cfg.drain_high {
+        if !self.draining && self.queues.write.len() >= self.cfg.drain_high {
             self.draining = true;
             self.stats.write_drains += 1;
             self.drain_tracker.set_busy(now);
-        } else if self.draining && self.queues.write_len() <= self.cfg.drain_low {
+        } else if self.draining && self.queues.write.len() <= self.cfg.drain_low {
             self.draining = false;
             self.drain_tracker.set_idle(now);
         }
@@ -757,27 +730,33 @@ impl Controller {
         // A cancel requeues only writes, so the read mask holds for the
         // whole pass; ascending order keeps the wear and energy sums in
         // bank order.
-        for bank_idx in banks_in(self.queues.read_mask()) {
-            let Some(op) = self.banks.in_flight[bank_idx] else {
+        for bank_idx in banks_in(self.queues.read.mask()) {
+            // Only a write in flight can yield.
+            let Some(InFlight {
+                req,
+                pulse: Some(pulse),
+                end,
+            }) = self.banks.in_flight[bank_idx]
+            else {
                 continue;
             };
-            if op.kind == OpKind::Read || !self.policy.cancellable(op.speed) || now >= op.end {
+            if !self.policy.cancellable(pulse.speed) || now >= end {
                 continue;
             }
             // Cancel or pause: yield the bank to the read and re-queue
             // the write at the front so it keeps its age priority.
-            let in_pulse = now >= op.pulse_start;
-            let pulse = op.end.saturating_since(op.pulse_start);
-            let done = now.saturating_since(op.pulse_start);
+            let in_pulse = now >= pulse.start;
+            let length = end.saturating_since(pulse.start);
+            let done = now.saturating_since(pulse.start);
             // Fraction of this *segment* driven so far.
             // `fraction_of` is 0.0 on an empty pulse, and `done` is
-            // clamped below `pulse` by the `now < op.end` guard above.
-            let segment_fraction = done.fraction_of(pulse).clamp(0.0, 1.0);
+            // clamped below `length` by the `now < end` guard above.
+            let segment_fraction = done.fraction_of(length).clamp(0.0, 1.0);
             // Fraction of the whole pulse driven (across pause resumes).
-            let progress = 1.0 - op.remaining_at_start + op.remaining_at_start * segment_fraction;
+            let progress = 1.0 - req.remaining + req.remaining * segment_fraction;
             // Threshold rule [18]: a nearly-finished pulse runs to
             // completion; a repeatedly-yielding write stops yielding.
-            if progress >= self.cfg.cancel_threshold || op.cancels >= self.cfg.max_cancels {
+            if progress >= self.cfg.cancel_threshold || req.cancels >= self.cfg.max_cancels {
                 continue;
             }
             let remaining = if self.policy.pause_writes {
@@ -787,21 +766,20 @@ impl Controller {
                 (1.0 - progress).max(0.0)
             } else {
                 // Abort: the driven fraction is wasted — charge its wear
-                // and energy, and restart from scratch.
-                let factor = op.factor;
-                let phys = self.leveler.remap(bank_idx, op.mapping.block);
-                let charged = op.remaining_at_start * segment_fraction;
+                // and energy at the factor it drove, and restart from
+                // scratch.
+                let phys = self.leveler.remap(bank_idx, req.mapping.block);
+                let charged = req.remaining * segment_fraction;
                 self.ledger
-                    .record_cancelled(bank_idx, Some(phys), factor, charged);
-                self.energy
-                    .add_cancelled(op.speed == WriteSpeed::Slow, charged);
+                    .record_cancelled(bank_idx, Some(phys), pulse.factor, charged);
+                self.energy.add_cancelled(pulse.factor > 1.0, charged);
                 self.stats.writes_cancelled += 1;
                 1.0
             };
             // Refund the unspent busy time (saturating: the issue may
             // predate a measurement reset that zeroed busy_time).
             self.banks.busy_time[bank_idx] =
-                self.banks.busy_time[bank_idx].saturating_sub(op.end.saturating_since(now));
+                self.banks.busy_time[bank_idx].saturating_sub(end.saturating_since(now));
             self.banks.busy_until[bank_idx] = now;
             self.banks.in_flight[bank_idx] = None;
             self.completions.retain(|&b| b != bank_idx);
@@ -810,25 +788,27 @@ impl Controller {
                 // reached the bank, so the retry is not `data_resident`,
                 // and the aborted transfer's bus slot is released. (Bus
                 // reservations grow strictly, so `bus_free_at` equals
-                // this op's `pulse_start` exactly when it still holds
-                // the newest reservation.)
+                // this pulse's start exactly when it still holds the
+                // newest reservation.)
                 self.stats.pre_pulse_cancels += 1;
-                if self.bus_free_at == op.pulse_start {
+                if self.bus_free_at == pulse.start {
                     self.bus_free_at = now;
                 }
             }
-            self.queues.requeue_front(
-                op.requeue(in_pulse, op.cancels + 1, remaining),
-                op.kind == OpKind::EagerWrite,
-            );
+            self.queues.requeue_front(QueuedReq {
+                data_resident: in_pulse,
+                cancels: req.cancels + 1,
+                remaining,
+                ..req
+            });
         }
     }
 
     fn bank_view(&self, bank: usize) -> BankQueueView {
         BankQueueView::new(
-            self.queues.reads_at(bank),
-            self.queues.writes_at(bank),
-            self.queues.eager_at(bank),
+            self.queues.read.at(bank),
+            self.queues.write.at(bank),
+            self.queues.eager.at(bank),
             self.quota
                 .as_ref()
                 .map(|q| q.exceeded(bank))
@@ -838,6 +818,12 @@ impl Controller {
 
     /// One round-robin arbitration pass over the banks. Returns whether
     /// any activation was blocked by tFAW (it must retry next cycle).
+    ///
+    /// Each visited bank issues its read (none while draining), else
+    /// the write the Figure 9 tree decides. A drain moves only demand
+    /// writes, so it declines an eager decision, which the tree makes
+    /// only for a bank with no demand write queued: that bank's window
+    /// goes to a due scrub visit, or stays idle.
     ///
     /// The pass visits only the free banks with startable work or a due
     /// scrub visit, a set fixed before it starts: visiting a bank
@@ -856,26 +842,17 @@ impl Controller {
         let from_start = !0u64 << start;
         let mut tfaw_blocked = false;
         for bank_idx in banks_in(visit & from_start).chain(banks_in(visit & !from_start)) {
+            // Reads have priority, row-buffer hit first, then oldest;
+            // a drain blocks them.
+            let read = if self.draining {
+                None
+            } else {
+                self.queues
+                    .pick_read(bank_idx, self.banks.open_row[bank_idx])
+            };
             // Whether foreground work takes this idle-bank window; a due
             // scrub visit gets only the windows it leaves.
-            let took_bank = if self.draining {
-                // Reads are blocked while draining, and a drain only
-                // commits banks with queued writes.
-                let queued = self.queues.writes_at(bank_idx) > 0;
-                if queued {
-                    let speed = demand_speed(&self.policy, self.bank_view(bank_idx));
-                    let req = self
-                        .queues
-                        .take_write(bank_idx)
-                        .expect("occupancy implies a queued write");
-                    self.issue_write(bank_idx, req, speed, OpKind::DemandWrite, now);
-                }
-                queued
-            } else if let Some((req, pick)) = self
-                .queues
-                .pick_read(bank_idx, self.banks.open_row[bank_idx])
-            {
-                // Reads have priority: row-buffer hit first, then oldest.
+            let took_bank = if let Some((req, pick)) = read {
                 if !self.issue_read(bank_idx, req, pick, now) {
                     // Retry next cycle; the window is neither used nor
                     // lost, so a due scrub visit waits too.
@@ -886,24 +863,23 @@ impl Controller {
             } else {
                 // Eager writes, like demand writes, win the window over
                 // a due scrub visit.
-                match decide_write(&self.policy, self.bank_view(bank_idx)) {
-                    WriteDecision::Demand(speed) => {
-                        let req = self
-                            .queues
-                            .take_write(bank_idx)
-                            .expect("decision implies a queued write");
-                        self.issue_write(bank_idx, req, speed, OpKind::DemandWrite, now);
+                let write = match decide_write(&self.policy, self.bank_view(bank_idx)) {
+                    WriteDecision::Demand(speed) => Some((&mut self.queues.write, speed)),
+                    // A drain moves only demand writes.
+                    WriteDecision::Eager(speed) if !self.draining => {
+                        Some((&mut self.queues.eager, speed))
+                    }
+                    WriteDecision::Eager(_) | WriteDecision::Idle => None,
+                };
+                match write {
+                    Some((queue, speed)) => {
+                        let req = queue
+                            .take(bank_idx)
+                            .expect("the decision implies a queued write");
+                        self.issue_write(bank_idx, req, speed, now);
                         true
                     }
-                    WriteDecision::Eager(speed) => {
-                        let req = self
-                            .queues
-                            .take_eager(bank_idx)
-                            .expect("decision implies a queued eager write");
-                        self.issue_write(bank_idx, req, speed, OpKind::EagerWrite, now);
-                        true
-                    }
-                    WriteDecision::Idle => false,
+                    None => false,
                 }
             };
             if scrub_due & (1 << bank_idx) != 0 {
@@ -926,7 +902,7 @@ impl Controller {
         pick: ReadPick,
         now: SimTime,
     ) -> bool {
-        let hit = self.banks.open_row[bank_idx] == Some(req.row);
+        let hit = self.banks.open_row[bank_idx] == Some(req.mapping.row);
         if !hit && !self.try_activate(self.cfg.rank_of(bank_idx), now) {
             return false;
         }
@@ -934,7 +910,7 @@ impl Controller {
         let access_done = if hit {
             now + self.cfg.t_cas
         } else {
-            self.banks.open_row[bank_idx] = Some(req.row);
+            self.banks.open_row[bank_idx] = Some(req.mapping.row);
             now + self.cfg.t_rcd + self.cfg.t_cas
         };
         let xfer_start = access_done.max(self.bus_free_at);
@@ -947,34 +923,11 @@ impl Controller {
             self.energy.add_buffer_read();
             self.stats.rb_miss_reads += 1;
         }
-        self.banks.busy_time[bank_idx] += end.saturating_since(now);
-        self.banks.busy_until[bank_idx] = end;
-        self.banks.in_flight[bank_idx] = Some(InFlight {
-            kind: OpKind::Read,
-            line: req.line,
-            mapping: self.cfg.map_line(req.line),
-            speed: WriteSpeed::Normal,
-            factor: 1.0,
-            cancels: 0,
-            retries: 0,
-            repair: false,
-            enq: req.enq,
-            remaining_at_start: 0.0,
-            pulse_start: end,
-            end,
-        });
-        self.completions.schedule(end, bank_idx);
+        self.occupy(bank_idx, req, None, end, now);
         true
     }
 
-    fn issue_write(
-        &mut self,
-        bank_idx: usize,
-        req: QueuedReq,
-        speed: WriteSpeed,
-        kind: OpKind,
-        now: SimTime,
-    ) {
+    fn issue_write(&mut self, bank_idx: usize, req: QueuedReq, speed: WriteSpeed, now: SimTime) {
         let factor = match speed {
             WriteSpeed::Normal => 1.0,
             // +GR: grade the slowdown by write-queue pressure. Cancel
@@ -982,42 +935,45 @@ impl Controller {
             // write queue without the acceptance cap check, so it can
             // run past its cap; that is full pressure, not an error.
             WriteSpeed::Slow => self.policy.slow_factor_for_occupancy(
-                (self.queues.write_len() as f64 / self.cfg.write_queue_cap as f64).min(1.0),
+                (self.queues.write.len() as f64 / self.cfg.write_queue_cap as f64).min(1.0),
             ),
         };
         // A resumed (+WP) write only drives its outstanding fraction.
-        let pulse = self.cfg.t_wp.scale(factor * req.remaining);
+        let length = self.cfg.t_wp.scale(factor * req.remaining);
         // A cancelled write's data is still latched at the bank: its
         // retry starts the pulse immediately without re-bursting data.
-        let pulse_start = if req.data_resident {
+        let start = if req.data_resident {
             now
         } else {
             let xfer_start = now.max(self.bus_free_at);
             self.bus_free_at = xfer_start + self.cfg.t_bus;
             xfer_start + self.cfg.t_bus
         };
-        let end = pulse_start + pulse;
         if factor > 1.0 {
             self.stats.writes_issued_slow += 1;
         } else {
             self.stats.writes_issued_normal += 1;
         }
-        self.banks.busy_time[bank_idx] += end.saturating_since(now);
-        self.banks.busy_until[bank_idx] = end;
-        self.banks.in_flight[bank_idx] = Some(InFlight {
-            kind,
-            line: req.line,
-            mapping: self.cfg.map_line(req.line),
+        let pulse = Pulse {
             speed,
             factor,
-            cancels: req.cancels,
-            retries: req.retries,
-            repair: req.repair,
-            enq: req.enq,
-            remaining_at_start: req.remaining,
-            pulse_start,
-            end,
-        });
+            start,
+        };
+        self.occupy(bank_idx, req, Some(pulse), start + length, now);
+    }
+
+    /// Puts `req` in flight at its bank from `now` to `end`.
+    fn occupy(
+        &mut self,
+        bank_idx: usize,
+        req: QueuedReq,
+        pulse: Option<Pulse>,
+        end: SimTime,
+        now: SimTime,
+    ) {
+        self.banks.busy_time[bank_idx] += end.saturating_since(now);
+        self.banks.busy_until[bank_idx] = end;
+        self.banks.in_flight[bank_idx] = Some(InFlight { req, pulse, end });
         self.completions.schedule(end, bank_idx);
     }
 
@@ -1066,7 +1022,7 @@ impl Controller {
     /// (the paper's cyclic-execution methodology).
     pub fn lifetime(&self, elapsed: Duration) -> LifetimeProjection {
         self.cfg
-            .lifetime_model(&self.endurance)
+            .lifetime_model(self.ledger.endurance())
             .project(&self.ledger, elapsed)
     }
 
@@ -1119,7 +1075,7 @@ impl Controller {
     /// faults disabled every block fails at the nominal endurance and the
     /// projection collapses onto the first-failure lifetime.
     pub fn capacity_years(&self, elapsed: Duration, capacity_fraction: f64) -> f64 {
-        let model = self.cfg.lifetime_model(&self.endurance);
+        let model = self.cfg.lifetime_model(self.ledger.endurance());
         let sigma = if self.cfg.fault.enabled {
             self.cfg.fault.endurance_sigma
         } else {
@@ -1130,11 +1086,8 @@ impl Controller {
 
     /// Returns the current read/write/eager queue occupancies.
     pub fn queue_depths(&self) -> (usize, usize, usize) {
-        (
-            self.queues.read_len(),
-            self.queues.write_len(),
-            self.queues.eager_len(),
-        )
+        let q = &self.queues;
+        (q.read.len(), q.write.len(), q.eager.len())
     }
 
     /// Returns how many banks the Wear Quota currently restricts to slow
@@ -1160,11 +1113,7 @@ impl Controller {
         // Leveler registers/tables persist as device state; snapshot
         // the counters so reported stats cover the new window.
         self.leveler_base = self.leveler.stats();
-        let mut ledger = WearLedger::new(self.cfg.num_banks, self.endurance, self.cancel_wear);
-        if self.ledger.block_table().is_some() {
-            ledger = ledger.with_block_tracking(self.leveler.physical_blocks_per_bank());
-        }
-        self.ledger = ledger;
+        self.ledger.reset();
         self.banks.busy_time.fill(Duration::ZERO);
         let was_draining = self.draining;
         self.drain_tracker = BusyTracker::new();
@@ -1478,6 +1427,44 @@ mod tests {
         assert_eq!(c.queue_depths().2, 0);
         assert_eq!(c.scrub_stats().scrub_reads, 3);
         assert_eq!(c.scrub_stats().scrub_bank_conflicts, 1);
+    }
+
+    /// A drain moves only demand writes: a free bank whose only queued
+    /// work is an eager write gives its window to a due scrub visit, and
+    /// the eager write waits for the drain to end.
+    #[test]
+    fn a_drain_leaves_an_eager_only_bank_to_its_scrub_visit() {
+        let mut cfg = retention_cfg();
+        cfg.retention.base_retention = Duration::from_ns(1_000_000); // never expires here
+        cfg.scrub_interval = Duration::from_ps(2500); // due every edge
+        let mut c = Controller::new(
+            cfg,
+            WritePolicy::be_mellow_sc(),
+            EnduranceModel::reram_default(),
+            CancelWear::Prorated,
+        );
+        // A full write queue on bank 0 starts a drain; bank 1 holds only
+        // an eager write, and banks 2 and 3 nothing.
+        for i in 0..32 {
+            assert!(c.try_write(i * 4, SimTime::ZERO));
+        }
+        c.try_eager(1, SimTime::ZERO);
+        c.tick(SimTime::from_ps(2500));
+        assert!(c.is_draining());
+        // Bank 0's demand write beats its scrub visit; banks 1, 2 and 3
+        // scrub.
+        assert_eq!(c.scrub_stats().scrub_reads, 3);
+        assert_eq!(c.scrub_stats().scrub_bank_conflicts, 1);
+        let mut cycle = 1;
+        while c.is_draining() {
+            assert_eq!(c.queue_depths().2, 1, "eager write issued mid-drain");
+            cycle += 1;
+            c.tick(SimTime::from_ps(cycle * 2500));
+        }
+        // Once the drain ends, the eager write wins bank 1's next window.
+        run_span(&mut c, cycle, cycle + 300);
+        assert_eq!(c.queue_depths().2, 0);
+        assert_eq!(c.stats().eager_completed, 1);
     }
 
     #[test]

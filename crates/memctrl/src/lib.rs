@@ -330,6 +330,30 @@ mod tests {
     }
 
     #[test]
+    fn graded_cancel_energy_matches_driven_factor() {
+        // +GR: a slow-decided write graded down to 1x is a normal-speed
+        // attempt, so its cancelled fraction is normal-write energy, as
+        // the wear ledger and the issue counters classify it.
+        let mut c = ctrl(WritePolicy::slow().with_graded_latency().with_cancel_slow());
+        for i in 0..28 {
+            c.try_write(i * 16, SimTime::ZERO); // one bank, 27/32 after the take
+        }
+        run(&mut c, 1, 20); // the first write's 1x pulse is under way
+        assert_eq!(c.stats().writes_issued_normal, 1);
+        c.try_read(28 * 16, SimTime::from_ps(20 * MEM_CYCLE_PS));
+        run(&mut c, 21, 1);
+        assert_eq!(c.stats().writes_cancelled, 1);
+        let wear = c.ledger().bank(0);
+        assert!(wear.cancelled_normal_equiv > 0.0);
+        assert_eq!(wear.cancelled_slow_equiv, 0.0);
+        assert_eq!(
+            c.energy().cancelled_normal_equiv,
+            wear.cancelled_normal_equiv
+        );
+        assert_eq!(c.energy().cancelled_slow_equiv, 0.0);
+    }
+
+    #[test]
     fn graded_wear_matches_driven_factor() {
         // A graded 3x write (empty queue) wears 1/9 like a plain slow one.
         let mut c = ctrl(WritePolicy::slow().with_graded_latency());
@@ -489,7 +513,7 @@ mod tests {
     #[test]
     fn pre_pulse_cancel_requires_a_fresh_bus_transfer() {
         // Regression: a write cancelled while its line was still
-        // bursting over the bus (now < pulse_start) was re-queued
+        // bursting over the bus (before its pulse started) was re-queued
         // `data_resident`, so its retry skipped the transfer it never
         // finished. The retry must re-burst.
         let mut c = ctrl(WritePolicy::slow().with_cancel_slow());

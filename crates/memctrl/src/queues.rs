@@ -33,12 +33,23 @@ use crate::LineMapping;
 use mellow_engine::SimTime;
 use std::collections::VecDeque;
 
-/// A queued request (read, demand write, or eager write).
+/// What a request asks of its bank, and so which queue holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    Read,
+    DemandWrite,
+    EagerWrite,
+}
+
+/// A request (read, demand write, or eager write), from acceptance to
+/// completion: queued, in flight at its bank, and re-queued by a cancel,
+/// a pause or a verify retry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedReq {
+    pub(crate) kind: OpKind,
     pub(crate) line: u64,
-    pub(crate) bank: usize,
-    pub(crate) row: u64,
+    /// Where `line` lives, mapped once at acceptance.
+    pub(crate) mapping: LineMapping,
     pub(crate) enq: SimTime,
     /// Set when this write was cancelled mid-pulse: its data is already
     /// latched at the bank, so a retry needs no new bus transfer.
@@ -58,12 +69,12 @@ pub(crate) struct QueuedReq {
 }
 
 impl QueuedReq {
-    /// A fresh request for `line`, enqueued at `enq`.
-    pub(crate) fn new(line: u64, mapping: LineMapping, enq: SimTime) -> Self {
+    /// A fresh `kind` request for `line`, enqueued at `enq`.
+    pub(crate) fn new(kind: OpKind, line: u64, mapping: LineMapping, enq: SimTime) -> Self {
         QueuedReq {
+            kind,
             line,
-            bank: mapping.bank,
-            row: mapping.row,
+            mapping,
             enq,
             data_resident: false,
             cancels: 0,
@@ -112,7 +123,7 @@ pub(crate) fn due_mask(times: &[SimTime], now: SimTime) -> u64 {
 /// goes through here, so the total and the mask move with the FIFOs;
 /// debug builds check the mask after each one.
 #[derive(Debug)]
-struct BankFifos {
+pub(crate) struct BankFifos {
     fifos: Vec<VecDeque<QueuedReq>>,
     total: usize,
     /// Bit `b` is set exactly when bank `b`'s FIFO is non-empty.
@@ -128,17 +139,23 @@ impl BankFifos {
         }
     }
 
-    fn push_back(&mut self, req: QueuedReq) {
-        self.fifos[req.bank].push_back(req);
-        self.entered(req.bank);
+    /// Queued requests of this kind.
+    pub(crate) fn len(&self) -> usize {
+        self.total
     }
 
-    fn push_front(&mut self, req: QueuedReq) {
-        self.fifos[req.bank].push_front(req);
-        self.entered(req.bank);
+    /// Queued requests of this kind targeting `bank`.
+    pub(crate) fn at(&self, bank: usize) -> usize {
+        self.fifos[bank].len()
     }
 
-    fn pop_front(&mut self, bank: usize) -> Option<QueuedReq> {
+    /// The banks with a queued request of this kind.
+    pub(crate) fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// Removes and returns the oldest request for `bank`.
+    pub(crate) fn take(&mut self, bank: usize) -> Option<QueuedReq> {
         let req = self.fifos[bank].pop_front()?;
         self.left(bank);
         Some(req)
@@ -182,9 +199,9 @@ impl BankFifos {
 /// occupancy mask, so occupancy questions never walk a queue.
 #[derive(Debug)]
 pub(crate) struct RequestQueues {
-    read: BankFifos,
-    write: BankFifos,
-    eager: BankFifos,
+    pub(crate) read: BankFifos,
+    pub(crate) write: BankFifos,
+    pub(crate) eager: BankFifos,
 }
 
 impl RequestQueues {
@@ -203,71 +220,30 @@ impl RequestQueues {
         }
     }
 
-    /// Total queued reads.
-    pub(crate) fn read_len(&self) -> usize {
-        self.read.total
-    }
-
-    /// Total queued demand writes.
-    pub(crate) fn write_len(&self) -> usize {
-        self.write.total
-    }
-
-    /// Total queued eager writes.
-    pub(crate) fn eager_len(&self) -> usize {
-        self.eager.total
-    }
-
-    /// Queued reads targeting `bank`.
-    pub(crate) fn reads_at(&self, bank: usize) -> usize {
-        self.read.fifos[bank].len()
-    }
-
-    /// Queued demand writes targeting `bank`.
-    pub(crate) fn writes_at(&self, bank: usize) -> usize {
-        self.write.fifos[bank].len()
-    }
-
-    /// Queued eager writes targeting `bank`.
-    pub(crate) fn eager_at(&self, bank: usize) -> usize {
-        self.eager.fifos[bank].len()
-    }
-
-    /// The banks with a queued read.
-    pub(crate) fn read_mask(&self) -> u64 {
-        self.read.mask
-    }
-
-    /// The banks with a queued demand write.
-    pub(crate) fn write_mask(&self) -> u64 {
-        self.write.mask
-    }
-
-    /// The banks with a queued eager write.
-    pub(crate) fn eager_mask(&self) -> u64 {
-        self.eager.mask
-    }
-
-    pub(crate) fn push_read(&mut self, req: QueuedReq) {
-        self.read.push_back(req);
-    }
-
-    pub(crate) fn push_write(&mut self, req: QueuedReq) {
-        self.write.push_back(req);
-    }
-
-    pub(crate) fn push_eager(&mut self, req: QueuedReq) {
-        self.eager.push_back(req);
-    }
-
-    /// Re-queues a cancelled or paused write at the front of its bank's
-    /// queue so it keeps its age priority.
-    pub(crate) fn requeue_front(&mut self, req: QueuedReq, eager: bool) {
-        if eager {
-            self.eager.push_front(req);
-        } else {
-            self.write.push_front(req);
+    /// The sub-queues of requests of `kind`.
+    fn of(&mut self, kind: OpKind) -> &mut BankFifos {
+        match kind {
+            OpKind::Read => &mut self.read,
+            OpKind::DemandWrite => &mut self.write,
+            OpKind::EagerWrite => &mut self.eager,
         }
+    }
+
+    /// Queues `req` behind every request of its kind for its bank.
+    pub(crate) fn push(&mut self, req: QueuedReq) {
+        let bank = req.mapping.bank;
+        let fifos = self.of(req.kind);
+        fifos.fifos[bank].push_back(req);
+        fifos.entered(bank);
+    }
+
+    /// Re-queues a cancelled, paused or verify-failed write at the front
+    /// of its bank's queue so it keeps its age priority.
+    pub(crate) fn requeue_front(&mut self, req: QueuedReq) {
+        let bank = req.mapping.bank;
+        let fifos = self.of(req.kind);
+        fifos.fifos[bank].push_front(req);
+        fifos.entered(bank);
     }
 
     /// Whether a demand or eager write for `line` (which maps to `bank`)
@@ -288,7 +264,7 @@ impl RequestQueues {
     ) -> Option<(QueuedReq, ReadPick)> {
         let sub = &self.read.fifos[bank];
         for (idx, r) in sub.iter().enumerate() {
-            if Some(r.row) == open_row {
+            if Some(r.mapping.row) == open_row {
                 return Some((*r, ReadPick { bank, idx }));
             }
         }
@@ -302,16 +278,6 @@ impl RequestQueues {
             .remove(pick.bank, pick.idx)
             .expect("pick handle valid");
     }
-
-    /// Removes and returns the oldest demand write for `bank`.
-    pub(crate) fn take_write(&mut self, bank: usize) -> Option<QueuedReq> {
-        self.write.pop_front(bank)
-    }
-
-    /// Removes and returns the oldest eager write for `bank`.
-    pub(crate) fn take_eager(&mut self, bank: usize) -> Option<QueuedReq> {
-        self.eager.pop_front(bank)
-    }
 }
 
 #[cfg(test)]
@@ -319,8 +285,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn req(line: u64, bank: usize, row: u64) -> QueuedReq {
+    fn req(kind: OpKind, line: u64, bank: usize, row: u64) -> QueuedReq {
         QueuedReq::new(
+            kind,
             line,
             LineMapping {
                 bank,
@@ -334,27 +301,27 @@ mod tests {
     #[test]
     fn totals_and_per_bank_counts_agree() {
         let mut q = RequestQueues::new(4);
-        q.push_read(req(0, 0, 0));
-        q.push_read(req(4, 0, 1));
-        q.push_read(req(1, 1, 0));
-        q.push_write(req(2, 2, 0));
-        q.push_eager(req(3, 3, 0));
-        assert_eq!(q.read_len(), 3);
-        assert_eq!(q.write_len(), 1);
-        assert_eq!(q.eager_len(), 1);
-        assert_eq!(q.reads_at(0), 2);
-        assert_eq!(q.reads_at(1), 1);
-        assert_eq!(q.writes_at(2), 1);
-        assert_eq!(q.eager_at(3), 1);
-        assert_eq!(q.reads_at(3), 0);
+        q.push(req(OpKind::Read, 0, 0, 0));
+        q.push(req(OpKind::Read, 4, 0, 1));
+        q.push(req(OpKind::Read, 1, 1, 0));
+        q.push(req(OpKind::DemandWrite, 2, 2, 0));
+        q.push(req(OpKind::EagerWrite, 3, 3, 0));
+        assert_eq!(q.read.len(), 3);
+        assert_eq!(q.write.len(), 1);
+        assert_eq!(q.eager.len(), 1);
+        assert_eq!(q.read.at(0), 2);
+        assert_eq!(q.read.at(1), 1);
+        assert_eq!(q.write.at(2), 1);
+        assert_eq!(q.eager.at(3), 1);
+        assert_eq!(q.read.at(3), 0);
     }
 
     #[test]
     fn pick_read_prefers_row_hit_then_oldest() {
         let mut q = RequestQueues::new(4);
-        q.push_read(req(10, 1, 5));
-        q.push_read(req(11, 1, 7));
-        q.push_read(req(12, 1, 5));
+        q.push(req(OpKind::Read, 10, 1, 5));
+        q.push(req(OpKind::Read, 11, 1, 7));
+        q.push(req(OpKind::Read, 12, 1, 5));
         // Open row 7: the (single) hit wins over the older misses.
         let (r, _) = q.pick_read(1, Some(7)).unwrap();
         assert_eq!(r.line, 11);
@@ -362,7 +329,7 @@ mod tests {
         let (r, pick) = q.pick_read(1, None).unwrap();
         assert_eq!(r.line, 10);
         q.remove_read(pick);
-        assert_eq!(q.reads_at(1), 2);
+        assert_eq!(q.read.at(1), 2);
         let (r, _) = q.pick_read(1, None).unwrap();
         assert_eq!(r.line, 11);
     }
@@ -370,40 +337,40 @@ mod tests {
     #[test]
     fn take_write_is_per_bank_fifo_and_requeue_front_restores_age() {
         let mut q = RequestQueues::new(4);
-        q.push_write(req(20, 2, 0));
-        q.push_write(req(21, 3, 0));
-        q.push_write(req(22, 2, 0));
-        let first = q.take_write(2).unwrap();
+        q.push(req(OpKind::DemandWrite, 20, 2, 0));
+        q.push(req(OpKind::DemandWrite, 21, 3, 0));
+        q.push(req(OpKind::DemandWrite, 22, 2, 0));
+        let first = q.write.take(2).unwrap();
         assert_eq!(first.line, 20);
         // A cancelled write re-enters at the front of its bank.
-        q.requeue_front(first, false);
-        assert_eq!(q.take_write(2).unwrap().line, 20);
-        assert_eq!(q.take_write(2).unwrap().line, 22);
-        assert!(q.take_write(2).is_none());
-        assert_eq!(q.take_write(3).unwrap().line, 21);
-        assert_eq!(q.write_len(), 0);
+        q.requeue_front(first);
+        assert_eq!(q.write.take(2).unwrap().line, 20);
+        assert_eq!(q.write.take(2).unwrap().line, 22);
+        assert!(q.write.take(2).is_none());
+        assert_eq!(q.write.take(3).unwrap().line, 21);
+        assert_eq!(q.write.len(), 0);
     }
 
     #[test]
     fn queued_write_lookup_sees_both_write_kinds() {
         let mut q = RequestQueues::new(4);
-        q.push_write(req(30, 0, 0));
-        q.push_eager(req(31, 1, 0));
+        q.push(req(OpKind::DemandWrite, 30, 0, 0));
+        q.push(req(OpKind::EagerWrite, 31, 1, 0));
         assert!(q.has_queued_write(30, 0));
         assert!(q.has_queued_write(31, 1));
         assert!(!q.has_queued_write(32, 0));
-        q.take_write(0);
+        q.write.take(0);
         assert!(!q.has_queued_write(30, 0));
     }
 
     #[test]
     fn eager_fifo_per_bank() {
         let mut q = RequestQueues::new(4);
-        q.push_eager(req(40, 1, 0));
-        q.push_eager(req(41, 1, 0));
-        assert_eq!(q.take_eager(1).unwrap().line, 40);
-        assert_eq!(q.take_eager(1).unwrap().line, 41);
-        assert!(q.take_eager(1).is_none());
+        q.push(req(OpKind::EagerWrite, 40, 1, 0));
+        q.push(req(OpKind::EagerWrite, 41, 1, 0));
+        assert_eq!(q.eager.take(1).unwrap().line, 40);
+        assert_eq!(q.eager.take(1).unwrap().line, 41);
+        assert!(q.eager.take(1).is_none());
     }
 
     #[test]
@@ -440,39 +407,33 @@ mod tests {
             let mut q = RequestQueues::new(banks);
             // Read, demand write and eager FIFOs per bank, by line.
             let mut model = vec![vec![VecDeque::new(); banks]; 3];
+            let kinds = [OpKind::Read, OpKind::DemandWrite, OpKind::EagerWrite];
             for (op, bank, line) in ops {
                 let bank = bank % banks;
                 let row = line % 4;
-                let r = req(line, bank, row);
                 match op {
-                    0 => {
-                        q.push_read(r);
-                        model[0][bank].push_back(r);
-                    }
-                    1 => {
-                        q.push_write(r);
-                        model[1][bank].push_back(r);
-                    }
-                    2 => {
-                        q.push_eager(r);
-                        model[2][bank].push_back(r);
+                    0..=2 => {
+                        let r = req(kinds[usize::from(op)], line, bank, row);
+                        q.push(r);
+                        model[usize::from(op)][bank].push_back(r);
                     }
                     3 => {
-                        let eager = line % 2 == 1;
-                        q.requeue_front(r, eager);
-                        model[1 + usize::from(eager)][bank].push_front(r);
+                        let k = 1 + usize::from(line % 2 == 1);
+                        let r = req(kinds[k], line, bank, row);
+                        q.requeue_front(r);
+                        model[k][bank].push_front(r);
                     }
                     4 => {
-                        let got = q.take_write(bank).map(|w| w.line);
+                        let got = q.write.take(bank).map(|w| w.line);
                         prop_assert_eq!(got, model[1][bank].pop_front().map(|w| w.line));
                     }
                     5 => {
-                        let got = q.take_eager(bank).map(|w| w.line);
+                        let got = q.eager.take(bank).map(|w| w.line);
                         prop_assert_eq!(got, model[2][bank].pop_front().map(|w| w.line));
                     }
                     _ => {
                         let reads = &mut model[0][bank];
-                        let want = reads.iter().position(|m| m.row == row).or((!reads.is_empty()).then_some(0));
+                        let want = reads.iter().position(|m| m.mapping.row == row).or((!reads.is_empty()).then_some(0));
                         match q.pick_read(bank, Some(row)) {
                             Some((got, pick)) => {
                                 let idx = want.expect("the model holds a read");
@@ -489,16 +450,12 @@ mod tests {
                         .filter(|&b| !fifos[b].is_empty())
                         .fold(0u64, |m, b| m | 1 << b)
                 };
-                prop_assert_eq!(q.read_mask(), mask(&model[0]));
-                prop_assert_eq!(q.write_mask(), mask(&model[1]));
-                prop_assert_eq!(q.eager_mask(), mask(&model[2]));
                 let total = |fifos: &[VecDeque<QueuedReq>]| fifos.iter().map(VecDeque::len).sum::<usize>();
-                prop_assert_eq!(q.read_len(), total(&model[0]));
-                prop_assert_eq!(q.write_len(), total(&model[1]));
-                prop_assert_eq!(q.eager_len(), total(&model[2]));
-                prop_assert_eq!(q.reads_at(bank), model[0][bank].len());
-                prop_assert_eq!(q.writes_at(bank), model[1][bank].len());
-                prop_assert_eq!(q.eager_at(bank), model[2][bank].len());
+                for (fifos, model) in [&q.read, &q.write, &q.eager].into_iter().zip(&model) {
+                    prop_assert_eq!(fifos.mask(), mask(model));
+                    prop_assert_eq!(fifos.len(), total(model));
+                    prop_assert_eq!(fifos.at(bank), model[bank].len());
+                }
             }
         }
     }

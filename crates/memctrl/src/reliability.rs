@@ -15,7 +15,7 @@
 //! drift randomness is drawn (the additivity guarantee).
 
 use crate::queues::{due_mask, QueuedReq, RequestQueues};
-use crate::MemConfig;
+use crate::{LineMapping, MemConfig};
 use mellow_engine::{Duration, SimTime};
 use mellow_nvm::{
     EnduranceModel, FaultState, ReadVerify, RemapOutcome, RetentionState, WearLeveler, WriteVerify,
@@ -199,8 +199,8 @@ impl Reliability {
     }
 
     /// The verify step for a write pulse that landed on physical block
-    /// `phys` (logical `block`) at `end`, driven at latency `factor`.
-    /// The caller has already charged the pulse's wear and energy.
+    /// `phys` at `end`, driven at latency `factor`. The caller has
+    /// already charged the pulse's wear and energy.
     ///
     /// `retry` is the queue entry that drives the write again. A failed
     /// verify is retried within the [`MemConfig::max_write_retries`]
@@ -211,7 +211,6 @@ impl Reliability {
     pub(crate) fn verify_write(
         &mut self,
         mut retry: QueuedReq,
-        block: u64,
         phys: u64,
         factor: f64,
         end: SimTime,
@@ -220,7 +219,7 @@ impl Reliability {
         let Some(faults) = &mut self.faults else {
             return Verified::Clean;
         };
-        let bank = retry.bank;
+        let LineMapping { bank, block, .. } = retry.mapping;
         let verdict = faults.verify_write(bank, phys, self.endurance.wear_per_write(factor));
         if verdict == WriteVerify::Ok {
             return Verified::Clean;
@@ -357,7 +356,7 @@ impl Reliability {
             if t > now {
                 return true;
             }
-            queues.requeue_front(req, false);
+            queues.requeue_front(req);
             false
         });
     }

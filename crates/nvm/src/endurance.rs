@@ -143,11 +143,6 @@ impl EnduranceModel {
         self
     }
 
-    /// Returns the baseline (normal) write latency.
-    pub fn base_write_latency(&self) -> Duration {
-        self.base_write_latency
-    }
-
     /// Returns the baseline (normal-write) endurance in writes.
     pub fn base_endurance(&self) -> f64 {
         self.base_endurance

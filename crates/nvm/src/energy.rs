@@ -255,16 +255,6 @@ impl EnergyAccount {
         }
     }
 
-    /// Sums two accounts (e.g. across banks or channels).
-    pub fn merge(&mut self, other: &EnergyAccount) {
-        self.rb_hit_reads += other.rb_hit_reads;
-        self.buffer_reads += other.buffer_reads;
-        self.normal_writes += other.normal_writes;
-        self.slow_writes += other.slow_writes;
-        self.cancelled_normal_equiv += other.cancelled_normal_equiv;
-        self.cancelled_slow_equiv += other.cancelled_slow_equiv;
-    }
-
     /// Returns the total energy in picojoules under `model`.
     pub fn total_pj(&self, model: &EnergyModel) -> f64 {
         self.rb_hit_reads as f64 * model.rb_hit_read_pj()
@@ -326,20 +316,6 @@ mod tests {
         a.add_cancelled(false, 0.5);
         let expect = 1503.0 + 200.0 + 1016.8 + 2080.9 + 0.5 * 1016.8;
         assert!((a.total_pj(&m) - expect).abs() < 0.1);
-    }
-
-    #[test]
-    fn merge_adds_fieldwise() {
-        let mut a = EnergyAccount::default();
-        a.add_normal_write();
-        a.add_cancelled(true, 0.25);
-        let mut b = EnergyAccount::default();
-        b.add_normal_write();
-        b.add_buffer_read();
-        a.merge(&b);
-        assert_eq!(a.normal_writes, 2);
-        assert_eq!(a.buffer_reads, 1);
-        assert!((a.cancelled_slow_equiv - 0.25).abs() < 1e-12);
     }
 
     #[test]

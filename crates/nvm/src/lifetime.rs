@@ -86,21 +86,6 @@ impl LifetimeModel {
         }
     }
 
-    /// Returns the block endurance in normal-write equivalents.
-    pub fn endurance_per_block(&self) -> f64 {
-        self.endurance_per_block
-    }
-
-    /// Returns the number of blocks per bank.
-    pub fn blocks_per_bank(&self) -> u64 {
-        self.blocks_per_bank
-    }
-
-    /// Returns the leveling efficiency η.
-    pub fn leveling_efficiency(&self) -> f64 {
-        self.leveling_efficiency
-    }
-
     /// Returns the total leveled wear budget of one bank, in normal-write
     /// equivalents: `η · BlkNum · Endur_blk`.
     pub fn bank_wear_budget(&self) -> f64 {

@@ -204,6 +204,16 @@ impl WearLedger {
         &self.endurance
     }
 
+    /// Zeroes every bank record and tracked block (a measurement-window
+    /// boundary), keeping the endurance model, the cancel charging
+    /// policy and whether blocks are tracked.
+    pub fn reset(&mut self) {
+        self.banks.fill(BankWear::default());
+        if let Some(table) = &mut self.per_block {
+            *table = BlockWearTable::new(self.banks.len(), table.blocks_per_bank);
+        }
+    }
+
     /// Records a completed write to `bank` at latency `factor` (1.0 =
     /// normal). `block` is the physical block index when per-block
     /// tracking is enabled.
@@ -357,6 +367,21 @@ mod tests {
         assert!((t.get(0, 3) - (1.0 + 1.0 / 9.0)).abs() < 1e-12);
         assert!((t.max_wear() - (1.0 + 1.0 / 9.0)).abs() < 1e-12);
         assert_eq!(t.blocks_per_bank(), 8);
+    }
+
+    #[test]
+    fn reset_zeroes_records_and_keeps_tracking() {
+        let mut l = WearLedger::new(2, EnduranceModel::reram_default(), CancelWear::Full)
+            .with_block_tracking(8);
+        l.record_write(1, Some(3), 1.0);
+        l.record_cancelled(0, Some(5), 3.0, 0.5);
+        l.reset();
+        assert!(l.iter().all(|b| *b == BankWear::default()));
+        let t = l.block_table().expect("tracking survives a reset");
+        assert_eq!((t.blocks_per_bank(), t.max_wear()), (8, 0.0));
+        // The cancel policy survives too: `Full` charges a whole write.
+        l.record_cancelled(0, Some(5), 1.0, 0.5);
+        assert_eq!(l.bank(0).total_wear, 1.0);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl SyntheticWorkload {
         }
     }
 
-    /// Returns the spec this generator realizes.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
     /// Draws a jittered inter-op instruction count around
     /// `avg_interval` (uniform in ±50%).
     fn draw_interval(&mut self) -> u32 {
